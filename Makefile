@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test smoke lint cover bench bench-json bench-compare golden race sweep-smoke sweepd-smoke lsi-smoke
+.PHONY: verify build vet test smoke lint cover bench bench-json bench-compare golden race sweep-smoke sweepd-smoke lsi-smoke perfbench-test
 
 # Tier-1 verification plus vet and repolint: what CI runs.
 verify: build vet lint test smoke
@@ -38,21 +38,24 @@ bench:
 	$(GO) test -bench=. -benchtime=1x .
 
 # Persisted engine-matrix benchmark: runs the two engine suites and
-# writes chips/s and fault-patterns/s per engine×circuit to
-# BENCH_PR9.json (schema documented in cmd/benchjson). CI archives the
-# file as a build artifact, so the BENCH trajectory is no longer
-# ephemeral terminal scrollback.
+# writes chips/s and fault-patterns/s per engine×circuit to $(BENCH)
+# (schema documented in cmd/benchjson). CI archives the file as a build
+# artifact, so the BENCH trajectory is no longer ephemeral terminal
+# scrollback. Each change that records a matrix commits its own file;
+# BENCH_BASE names the newest committed one to compare against.
+BENCH ?= BENCH_PR12.json
+BENCH_BASE ?= BENCH_PR9.json
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkLotEngines' -benchtime 40x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR9.json
-	@echo "wrote BENCH_PR9.json"
+		| $(GO) run ./cmd/benchjson -out $(BENCH)
+	@echo "wrote $(BENCH)"
 
 # Soft regression gate over the persisted matrix: compares the fresh
-# BENCH_PR9.json against the checked-in PR6 baseline and fails only on
-# a >25% fault-patterns/s slide in the engines suite (lot-engines and
-# smaller slips print as warnings — CI runners are noisy).
+# $(BENCH) against the $(BENCH_BASE) baseline and fails only on a >25%
+# fault-patterns/s slide in the engines suite (lot-engines and smaller
+# slips print as warnings — CI runners are noisy).
 bench-compare:
-	$(GO) run ./cmd/benchjson -in BENCH_PR9.json -baseline BENCH_PR6.json -fail-over 25
+	$(GO) run ./cmd/benchjson -in $(BENCH) -baseline $(BENCH_BASE) -fail-over 25
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
 # sequences) must stay byte-identical across engine ports. CI fails the
@@ -100,3 +103,10 @@ lsi-smoke:
 # against an in-process run — byte-identical or the build fails.
 sweepd-smoke:
 	SWEEPD_E2E=1 $(GO) test -run TestE2ECrashResume -v ./cmd/sweepd/
+
+# The benchmark module (perfbench/, its own Go module compiled against
+# internal/): the root `go test ./...` cannot see a change that breaks
+# it, so vet and test it here.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...

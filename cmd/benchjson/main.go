@@ -12,7 +12,7 @@
 //	  "rows": [
 //	    {
 //	      "suite": "engines",             // "engines" | "lot-engines"
-//	      "engine": "pf256",              // registry name, e.g. serial, ppsfp, pf, pf256
+//	      "engine": "pf",                 // registry name: serial, ppsfp, pf
 //	      "circuit": "mul8",              // workload name
 //	      "iterations": 30,               // benchmark iteration count
 //	      "ns_per_op": 1885999,           // one op = one full run over the workload

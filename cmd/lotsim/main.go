@@ -31,7 +31,7 @@ func main() {
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	physical := flag.Bool("physical", false, "generate the lot through the physical-defect layer")
 	lotEngineName := flag.String("lotengine", tester.ChipParallel.String(),
-		"ATE lot engine: chip-parallel (63 chips + good machine per word), chipparallel256 (255 chips per 4-word lane block), or serial (per-chip oracle)")
+		"ATE lot engine: chip-parallel (255 chips + good machine per 4-word lane block) or serial (per-chip oracle)")
 	sampleFaults := flag.Int("sample-faults", 0,
 		"prepare against a deterministic random sample of at most N collapsed fault classes (0 = full universe)")
 	backtrackLimit := flag.Int("backtrack-limit", 0,

@@ -49,10 +49,10 @@ func main() {
 	seed := flag.Int64("seed", 1981, "base seed; per-replicate seeds are derived deterministically")
 	random := flag.Int("random", 192, "random patterns before PODEM cleanup")
 	physical := flag.Bool("physical", false, "generate lots through the physical-defect layer")
-	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: serial, ppsfp, deductive, pf, concurrent, pf256")
-	simWorkers := flag.Int("simworkers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
+	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: serial, ppsfp, pf")
+	simWorkers := flag.Int("simworkers", 0, "goroutines for -engine ppsfp (0 or 1 = the calling goroutine)")
 	lotEngineName := flag.String("lotengine", tester.ChipParallel.String(),
-		"ATE lot engine: chip-parallel, chipparallel256, or serial (bit-identical results)")
+		"ATE lot engine: chip-parallel or serial (bit-identical results)")
 	sampleFaults := flag.Int("sample-faults", 0,
 		"prepare each circuit against a deterministic random sample of at most N collapsed fault classes (0 = full universe)")
 	backtrackLimit := flag.Int("backtrack-limit", 0,
@@ -135,6 +135,11 @@ func run(circuitSpecs, yields, n0s, chips, coverages string, replicates, workers
 	engine, err := faultsim.ParseEngine(engineName)
 	if err != nil {
 		return err
+	}
+	// Only ppsfp shards its fault list; a worker count on any other
+	// engine would be silently ignored.
+	if simWorkers != 0 && engine != faultsim.PPSFP {
+		return fmt.Errorf("-simworkers only applies to the ppsfp engine (got %v)", engine)
 	}
 	lotEngine, err := tester.ParseLotEngine(lotEngineName)
 	if err != nil {

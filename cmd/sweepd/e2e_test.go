@@ -104,16 +104,27 @@ func TestE2ECrashResume(t *testing.T) {
 
 	cmd, url := start()
 	st := submit(url)
-	// Wait for real progress so the SIGKILL lands mid-campaign, then
-	// pull the plug — no drain, no final checkpoint, a true crash.
+	// Wait for the first durable checkpoint so the SIGKILL lands
+	// mid-campaign with something to resume from (progress alone can
+	// precede it by up to -checkpoint-every tasks), then pull the plug —
+	// no drain, no final checkpoint, a true crash. Checkpoints are
+	// renamed into place, so a matching name is a complete file.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if cur := status(url, st.ID); cur.TasksDone > 0 {
+		ckpts, err := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := status(url, st.ID)
+		if len(ckpts) > 0 {
 			t.Logf("killing daemon at %d/%d tasks", cur.TasksDone, cur.TasksTotal)
 			break
 		}
+		if cur.State == stateDone {
+			t.Fatal("campaign finished before its first checkpoint")
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("campaign never made progress")
+			t.Fatal("campaign never checkpointed")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -72,6 +72,11 @@ func (r submitRequest) config(cache *circuits.Cache) (sweep.Config, error) {
 	return cfg, nil
 }
 
+// maxSubmitBytes bounds a POST /campaigns body. A campaign config is a
+// few hundred bytes; the bound keeps a hostile or broken client from
+// making the decoder buffer an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 // jobState is a campaign's lifecycle phase as reported by GET
 // /campaigns/{id}.
 type jobState string
@@ -289,7 +294,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "malformed config: %v", err)

@@ -274,6 +274,46 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedAndRetiredEngines pins the submit guards:
+// a body past maxSubmitBytes and every retired engine name get a 400,
+// and none of them creates a job.
+func TestSubmitRejectsOversizedAndRetiredEngines(t *testing.T) {
+	srv := newTestServer(t, t.TempDir(), campaign.FullShard)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	grid := `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
+	bodies := map[string]string{
+		// A valid config padded past the bound: only the size rejects it.
+		"oversized": `{` + grid + strings.Repeat(" ", maxSubmitBytes) + `}`,
+	}
+	for _, e := range []string{"deductive", "concurrent", "pf256"} {
+		bodies["engine "+e] = `{` + grid + `, "engine": "` + e + `"}`
+	}
+	bodies["lot engine chipparallel256"] = `{` + grid + `, "lot_engine": "chipparallel256"}`
+	for name, body := range bodies {
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	code, body := fetch(t, ts.URL+"/campaigns")
+	if code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	var jobs []statusResponse
+	if err := json.Unmarshal([]byte(body), &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Errorf("rejected submits created %d jobs", len(jobs))
+	}
+}
+
 func TestGracefulShutdownDrainsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	srv := newTestServer(t, dir, campaign.FullShard)

@@ -26,8 +26,9 @@ type Params struct {
 	// the coverage ramp; every engine yields an identical ramp, so this
 	// only affects speed.
 	Engine faultsim.Engine
-	// SimWorkers is the goroutine count for faultsim.Concurrent
-	// (0 = GOMAXPROCS); other engines ignore it.
+	// SimWorkers shards the faultsim.PPSFP engine over that many
+	// goroutines (0 or 1 = the calling goroutine); other engines ignore
+	// it.
 	SimWorkers int
 	// BacktrackLimit bounds PODEM's search per fault during cleanup
 	// ATPG (0 = the generator's default). Faults that exhaust the
@@ -225,9 +226,8 @@ func (pr *Prepared) FinalCoverage() float64 { return pr.Result.Coverage() }
 // FaultCount returns the size of the working fault universe.
 func (pr *Prepared) FaultCount() int { return len(pr.Universe) }
 
-// NewATE builds a tester over the shared pattern set, pre-simulating
-// the good machine. One ATE serves any number of sequential calls;
-// concurrent consumers clone one each.
+// NewATE builds a tester over the shared pattern set. One ATE serves
+// any number of sequential calls; concurrent consumers clone one each.
 func (pr *Prepared) NewATE() (*tester.ATE, error) {
 	return tester.New(pr.Circuit, pr.Patterns)
 }

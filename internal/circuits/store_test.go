@@ -1,7 +1,9 @@
 package circuits
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -380,5 +382,48 @@ func TestLSIScaleStore(t *testing.T) {
 		first.ATPG != second.ATPG ||
 		!reflect.DeepEqual(first.Curve, second.Curve) {
 		t.Fatal("warm lsi1k artifact differs from cold build")
+	}
+}
+
+// lsiSmokeArtifactSHA256 is the SHA-256 of the Store artifact for the
+// lsi-smoke preparation (make lsi-smoke: lsi1k, 48 random patterns,
+// 150 sampled fault classes, backtrack limit 50, seed 7). Engine ports
+// and simulator rewrites must leave these bytes alone: a store written
+// before them has to keep serving the same campaigns.
+const lsiSmokeArtifactSHA256 = "e35a9ce89d77a99e4b4204f9b1672b401999600ad7e6a49d46b63880b8e6bd02"
+
+// TestLSISmokeArtifactBytes pins the stored Prepared artifact byte for
+// byte, which the cold/warm store round trip (a run compared with
+// itself) cannot do.
+func TestLSISmokeArtifactBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("LSI-scale preparation skipped with -short")
+	}
+	c, err := Resolve("lsi1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{RandomPatterns: 48, Seed: 7, SampleFaults: 150, BacktrackLimit: 50}
+	pr, err := Prepare(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(pr); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := Fingerprint(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(store.path(fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != lsiSmokeArtifactSHA256 {
+		t.Errorf("lsi-smoke artifact SHA-256 %s, want %s", got, lsiSmokeArtifactSHA256)
 	}
 }

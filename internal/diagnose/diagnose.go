@@ -9,6 +9,7 @@ package diagnose
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fault"
@@ -50,30 +51,23 @@ func distance(a, b Syndrome) int {
 	}
 	d := 0
 	for i := 0; i < n; i++ {
-		d += popcount(a[i] ^ b[i])
+		d += bits.OnesCount64(a[i] ^ b[i])
 	}
 	for i := n; i < len(a); i++ {
-		d += popcount(a[i])
+		d += bits.OnesCount64(a[i])
 	}
 	for i := n; i < len(b); i++ {
-		d += popcount(b[i])
+		d += bits.OnesCount64(b[i])
 	}
 	return d
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // Dictionary holds the precomputed response of every modelled fault.
 type Dictionary struct {
 	c         *netlist.Circuit
+	flat      *logicsim.Flat
 	patterns  []logicsim.Pattern
+	blocks    []logicsim.PatternBlock // patterns, packed 64 per block
 	faults    []fault.Fault
 	syndromes []Syndrome
 }
@@ -89,93 +83,69 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 	if len(c.Outputs) > 64 {
 		return nil, fmt.Errorf("diagnose: more than 64 outputs (%d) does not fit the syndrome mask", len(c.Outputs))
 	}
-	sim, err := logicsim.NewSimulator(c)
+	flat, err := logicsim.NewFlat(c)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dictionary{c: c, patterns: patterns, faults: faults,
+	d := &Dictionary{c: c, flat: flat, patterns: patterns, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
+	for base := 0; base < len(patterns); base += 64 {
+		block, err := logicsim.PackPatterns(patterns[base:min(base+64, len(patterns))])
+		if err != nil {
+			return nil, err
+		}
+		d.blocks = append(d.blocks, block)
+	}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
 	}
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		block, err := logicsim.PackPatterns(patterns[base:end])
-		if err != nil {
+	sim := logicsim.NewFlatSim(flat)
+	var good, bad []uint64
+	for bi, block := range d.blocks {
+		if good, err = sim.RunInto(block, good); err != nil {
 			return nil, err
 		}
-		mask := block.Mask()
-		good, err := sim.Run(block)
-		if err != nil {
-			return nil, err
-		}
-		goodCopy := append([]uint64(nil), good...)
 		for fi, f := range faults {
-			bad, err := sim.RunWithFault(block, f.Gate, f.Pin, f.Stuck)
-			if err != nil {
+			if f.Gate < 0 || f.Gate >= len(c.Gates) {
+				return nil, fmt.Errorf("diagnose: fault %d site %d out of range", fi, f.Gate)
+			}
+			if bad, err = sim.RunWithFaultInto(block, flat.SlotOf(f.Gate), f.Pin, f.Stuck, bad); err != nil {
 				return nil, err
 			}
-			for o := range bad {
-				diff := (bad[o] ^ goodCopy[o]) & mask
-				for diff != 0 {
-					p := trailing(diff)
-					d.syndromes[fi][base+p] |= 1 << uint(o)
-					diff &= diff - 1
-				}
-			}
+			d.syndromes[fi].record(bi*64, block.Mask(), good, bad)
 		}
 	}
 	return d, nil
 }
 
-func trailing(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
+// record marks, for patterns base.. of one block, the outputs on which
+// the bad machine's words differ from the good machine's.
+func (s Syndrome) record(base int, mask uint64, good, bad []uint64) {
+	for o := range bad {
+		diff := (bad[o] ^ good[o]) & mask
+		for diff != 0 {
+			s[base+bits.TrailingZeros64(diff)] |= 1 << uint(o)
+			diff &= diff - 1
+		}
 	}
-	return n
 }
 
 // ObserveChip runs the tester on a chip carrying the given faults
 // simultaneously and returns its syndrome — the input a real ATE's
 // datalog would provide.
 func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
-	sim, err := logicsim.NewSimulator(d.c)
-	if err != nil {
-		return nil, err
-	}
+	sim := logicsim.NewFlatSim(d.flat)
 	syn := make(Syndrome, len(d.patterns))
-	for base := 0; base < len(d.patterns); base += 64 {
-		end := base + 64
-		if end > len(d.patterns) {
-			end = len(d.patterns)
-		}
-		block, err := logicsim.PackPatterns(d.patterns[base:end])
-		if err != nil {
+	var good, bad []uint64
+	for bi, block := range d.blocks {
+		var err error
+		if good, err = sim.RunInto(block, good); err != nil {
 			return nil, err
 		}
-		mask := block.Mask()
-		good, err := sim.Run(block)
-		if err != nil {
+		if bad, err = sim.RunWithFaultsInto(block, inj, bad); err != nil {
 			return nil, err
 		}
-		goodCopy := append([]uint64(nil), good...)
-		bad, err := sim.RunWithFaults(block, inj)
-		if err != nil {
-			return nil, err
-		}
-		for o := range bad {
-			diff := (bad[o] ^ goodCopy[o]) & mask
-			for diff != 0 {
-				p := trailing(diff)
-				syn[base+p] |= 1 << uint(o)
-				diff &= diff - 1
-			}
-		}
+		syn.record(bi*64, block.Mask(), good, bad)
 	}
 	return syn, nil
 }

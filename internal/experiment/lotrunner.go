@@ -20,10 +20,10 @@ import (
 // out thousands, sharing one Prepared per circuit via a circuits.Cache.
 //
 // A LotRunner is safe for concurrent RunLot calls: the shared state is
-// read-only after construction except the ATE's simulator, so each
-// RunLot builds its own tester over the shared pattern set. To amortize
-// the good-machine pre-simulation too, each worker goroutine should
-// clone one ATE via NewATE and pass it to RunLotWith.
+// read-only after construction except the ATE's simulation state, so
+// each RunLot builds its own tester over the shared pattern set. To
+// amortize the ATE's set-up too, each worker goroutine should clone one
+// ATE via NewATE and pass it to RunLotWith.
 type LotRunner struct {
 	cfg         Table1Config
 	prep        *circuits.Prepared
@@ -93,10 +93,9 @@ func (lr *LotRunner) Curve() faultsim.Ramp { return lr.prep.Curve }
 // FinalCoverage returns the pattern set's final fault coverage.
 func (lr *LotRunner) FinalCoverage() float64 { return lr.prep.FinalCoverage() }
 
-// NewATE builds a tester over the shared pattern set, pre-simulating
-// the good machine and selecting the configured lot engine. One ATE
-// serves any number of sequential RunLotWith calls; concurrent callers
-// need one each.
+// NewATE builds a tester over the shared pattern set, selecting the
+// configured lot engine. One ATE serves any number of sequential
+// RunLotWith calls; concurrent callers need one each.
 func (lr *LotRunner) NewATE() (*tester.ATE, error) {
 	ate, err := lr.prep.NewATE()
 	if err != nil {
@@ -139,8 +138,7 @@ func (lr *LotRunner) RunLot(y, n0 float64, chips int, seed int64) (LotOutcome, e
 }
 
 // RunLotWith is RunLot against a caller-held ATE (from NewATE), letting
-// worker goroutines amortize the good-machine pre-simulation across
-// many replicates.
+// worker goroutines amortize the ATE's set-up across many replicates.
 func (lr *LotRunner) RunLotWith(ate *tester.ATE, y, n0 float64, chips int, seed int64) (LotOutcome, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var lot defect.Lot

@@ -47,9 +47,9 @@ type Table1Config struct {
 	// and the test-set construction. The zero value is the default
 	// cone-restricted PPSFP; every engine yields an identical ramp.
 	Engine faultsim.Engine
-	// SimWorkers is the goroutine count when Engine is
-	// faultsim.Concurrent (0 = GOMAXPROCS); every other engine is
-	// single-threaded and ignores it.
+	// SimWorkers shards the faultsim.PPSFP engine over that many
+	// goroutines (0 or 1 = the calling goroutine); every other engine
+	// is single-threaded and ignores it.
 	SimWorkers int
 	// BacktrackLimit bounds PODEM's per-fault search during cleanup
 	// ATPG (0 = the generator's default).
@@ -59,8 +59,8 @@ type Table1Config struct {
 	// circuits.Params.SampleFaults). Zero means the full universe.
 	SampleFaults int
 	// LotEngine selects the ATE's lot-testing engine. The zero value is
-	// the default chip-parallel engine (good machine + 63 chips in one
-	// word's bit-lanes); tester.Serial is the per-chip oracle, kept as
+	// the default chip-parallel engine (good machine + 255 chips per
+	// 4-word lane block); tester.Serial is the per-chip oracle, kept as
 	// an opt-out. Results are bit-identical either way.
 	LotEngine tester.LotEngine
 }

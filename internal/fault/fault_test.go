@@ -57,20 +57,20 @@ func detectionVector(t *testing.T, c *netlist.Circuit, f Fault) uint64 {
 		}
 		patterns[v] = p
 	}
-	sim, err := logicsim.NewSimulator(c)
+	flat, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim := logicsim.NewFlatSim(flat)
 	block, err := logicsim.PackPatterns(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := sim.Run(block)
+	goodCopy, err := sim.RunInto(block, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodCopy := append([]uint64(nil), good...)
-	bad, err := sim.RunWithFault(block, f.Gate, f.Pin, f.Stuck)
+	bad, err := sim.RunWithFaultInto(block, flat.SlotOf(f.Gate), f.Pin, f.Stuck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,72 +1,19 @@
 package faultsim
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
-
-// pointerSerialFirstDetect is the pre-flat serial engine, kept
-// test-only as the independent oracle: one fault at a time, full
-// circuit re-simulation through the pointer-walking
-// logicsim.Simulator, no dropping. Since every registered engine —
-// including the flat Serial baseline — now runs on the flat core, this
-// is the one walk in the package that shares no simulation substrate
-// with the code under test.
-func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) []int {
-	t.Helper()
-	sim, err := logicsim.NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := make([]int, len(faults))
-	for i := range first {
-		first[i] = NotDetected
-	}
-	var good []uint64
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		block, err := logicsim.PackPatterns(patterns[base:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := sim.Run(block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		good = append(good[:0], g...)
-		for fi, f := range faults {
-			bad, err := sim.RunWithFault(block, f.Gate, f.Pin, f.Stuck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var diff uint64
-			for o := range bad {
-				diff |= (bad[o] ^ good[o]) & block.Mask()
-			}
-			if diff != 0 {
-				if p := base + bits.TrailingZeros64(diff); first[fi] == NotDetected {
-					first[fi] = p
-				}
-			}
-		}
-	}
-	return first
-}
 
 // TestEngineEquivalenceProperty is the cross-engine contract: every
 // engine (and the full-circuit reference paths) must return identical
 // FirstDetect indices on randomized circuits, randomized fault subsets,
-// and randomized pattern sets. The oracle is the retired pointer-
-// walking serial engine above, so even the registered flat Serial
-// baseline is pinned against an independent implementation.
+// and randomized pattern sets. The oracle is the Serial baseline,
+// itself pinned to logicsim's reference evaluator through the scalar
+// fault walk it runs on (logicsim.FlatSim.RunWithFaultInto).
 func TestEngineEquivalenceProperty(t *testing.T) {
 	type variant struct {
 		name   string
@@ -75,16 +22,16 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	}
 	// Every registered engine is checked automatically (a new registry
 	// entry lands here with zero test changes); the explicit extras
-	// pin the full-circuit reference paths and a real worker pool even
-	// on single-core hosts.
+	// pin the full-circuit reference path and a real PPSFP worker pool
+	// even on single-core hosts.
 	var variants []variant
 	for _, e := range Engines() {
 		variants = append(variants, variant{e.String(), e, Options{}})
 	}
 	variants = append(variants,
 		variant{"ppsfp-full", PPSFP, Options{FullCircuit: true}},
-		variant{"concurrent-4", Concurrent, Options{Workers: 4}},
-		variant{"concurrent-full", Concurrent, Options{Workers: 3, FullCircuit: true}},
+		variant{"ppsfp-workers-4", PPSFP, Options{Workers: 4}},
+		variant{"ppsfp-workers-full", PPSFP, Options{Workers: 3, FullCircuit: true}},
 	)
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial + 1)
@@ -128,7 +75,11 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		npat := 30 + rng.Intn(200)
 		patterns := randomPatterns(c, npat, seed*31)
 
-		oracle := pointerSerialFirstDetect(t, c, faults, patterns)
+		serial, err := Run(c, faults, patterns, Serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := serial.FirstDetect
 		for _, v := range variants {
 			got, err := RunOpts(c, faults, patterns, v.engine, v.opt)
 			if err != nil {
@@ -181,15 +132,18 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 					seed, fi, ref.FirstDetect[fi], got, pat.FirstDetect[fi])
 			}
 		}
-		for _, e := range []Engine{Deductive, FaultParallel, Concurrent} {
-			got, err := RunStepsOpts(c, faults, patterns, e, Options{})
+		for _, v := range []struct {
+			e   Engine
+			opt Options
+		}{{FaultParallel, Options{}}, {Serial, Options{}}, {PPSFP, Options{Workers: 3}}} {
+			got, err := RunStepsOpts(c, faults, patterns, v.e, v.opt)
 			if err != nil {
-				t.Fatalf("%v: %v", e, err)
+				t.Fatalf("%v: %v", v.e, err)
 			}
 			for fi := range faults {
 				if got.FirstDetect[fi] != ref.FirstDetect[fi] {
-					t.Fatalf("seed %d fault %d: %v steps %d, ppsfp steps %d",
-						seed, fi, e, got.FirstDetect[fi], ref.FirstDetect[fi])
+					t.Fatalf("seed %d fault %d: %v %+v steps %d, ppsfp steps %d",
+						seed, fi, v.e, v.opt, got.FirstDetect[fi], ref.FirstDetect[fi])
 				}
 			}
 		}
@@ -203,8 +157,11 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if _, err := ParseEngine("warp-drive"); err == nil {
-		t.Error("unknown engine name should error")
+	// Retired engine names get the unknown-engine error too.
+	for _, name := range []string{"warp-drive", "pf256", "deductive", "concurrent"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("unknown engine name %q should error", name)
+		}
 	}
 }
 

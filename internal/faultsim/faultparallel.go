@@ -2,58 +2,80 @@ package faultsim
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/logicsim"
-	"repro/internal/netlist"
 )
+
+// pfWords is the lane-block width of the fault-parallel engine: 4
+// machine words = 256 lanes = the good machine plus up to 255 faulty
+// machines per group.
+const pfWords = 4
 
 // runFaultParallel is the fault-parallel (PF) engine. Where PPSFP packs
 // 64 patterns into a word and injects one fault per pass, PF transposes
-// the packing: one word per pattern, lane 0 carrying the good machine
-// and lanes 1..63 carrying up to 63 distinct faulty machines. One
-// topological pass over the union of the group's output cones evaluates
-// all 64 machines at once; a stem fault forces its lane of the site's
-// output word, a pin fault forces its lane of one fanin word at the
-// site only. PF therefore wins when many faults survive per pattern
-// (early in a test set, or single-pattern dropping loops), and the cone
-// union keeps the per-pattern pass near the disturbed logic.
+// the packing: one lane block per pattern, lane 0 carrying the good
+// machine and lanes 1..255 up to 255 distinct faulty machines. One
+// topological pass over the union of the group's output cones
+// evaluates every machine at once; a stem fault forces its lane of the
+// site's output block, a pin fault forces its lane of one fanin block at
+// the site only. PF therefore wins when many faults survive per
+// pattern (early in a test set, or single-pattern dropping loops), and
+// the cone union keeps the per-pattern pass near the disturbed logic.
+//
+// Because Flat slots are a topological order, the union cone needs only
+// a plain integer sort of slot indices — no level lookups — and the
+// same sorted-by-slot grouping keeps each group's union cone local.
 func runFaultParallel(s *session) error {
 	blocks, err := s.packBlocks(false)
 	if err != nil {
 		return err
 	}
-	sim, err := s.simulator()
+	flat, err := s.flatCircuit()
 	if err != nil {
 		return err
 	}
-	cones, err := s.coneSet()
+	cones, err := s.flatConeSet()
 	if err != nil {
 		return err
 	}
-	// A gate's level strictly exceeds every fanin's, so (level, id) is a
-	// valid evaluation order for any gate subset — used both to order
-	// the union cone and to group faults by site locality.
-	level := make([]int, len(s.c.Gates))
-	for id := range s.c.Gates {
-		l, err := s.c.Level(id)
-		if err != nil {
-			return err
-		}
-		level[id] = l
+	good := logicsim.NewFlatSim(flat)
+	ws, err := logicsim.NewWideSim(flat, pfWords)
+	if err != nil {
+		return err
 	}
+	lf, err := logicsim.NewWideLaneForces(flat, pfWords)
+	if err != nil {
+		return err
+	}
+	nSlots := flat.Slots()
 	st := &pfState{
-		inCone:    make([]int, len(s.c.Gates)),
-		frontMark: make([]int, len(s.c.Gates)),
-		forceMark: make([]int, len(s.c.Gates)),
-		force:     make([]*laneForce, len(s.c.Gates)),
-		outMark:   make([]int, len(s.c.Outputs)),
-		fv:        make([]uint64, len(s.c.Gates)),
+		ws:        ws,
+		lf:        lf,
+		inCone:    make([]int32, nSlots),
+		frontMark: make([]int32, nSlots),
+		outMark:   make([]int32, len(s.c.Outputs)),
+		goodOut:   make([]uint64, 0, len(s.c.Outputs)),
 	}
+	lanesPerGroup := ws.Lanes() - 1 // lane 0 is the good machine
+	// Lane assignment by cone locality: slot order is topological, so
+	// grouping the faults by site slot keeps each group's union cone
+	// small. Relative
+	// slot order never changes, so one sort up front serves every block;
+	// per block the order is merely filtered down to the live faults.
+	order := make([]int, len(s.faults))
+	for fi := range order {
+		order[fi] = fi
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return flat.SlotOf(s.faults[order[a]].Gate) < flat.SlotOf(s.faults[order[b]].Gate)
+	})
+	live := make([]int, 0, len(order))
 	for bi := range blocks {
 		b := &blocks[bi]
-		var live []int
-		for fi := range s.faults {
+		live = live[:0]
+		for _, fi := range order {
 			if s.alive(fi) {
 				live = append(live, fi)
 			}
@@ -61,26 +83,17 @@ func runFaultParallel(s *session) error {
 		if len(live) == 0 {
 			break
 		}
-		// Good machine for this block; lane broadcasts read it via Value.
-		if _, err := sim.Run(b.pat); err != nil {
+		// Good machine for this block; frontier broadcasts read it via
+		// Value. goodOut only recycles the output buffer.
+		if st.goodOut, err = good.RunInto(b.pat, st.goodOut); err != nil {
 			return err
 		}
-		// Lane assignment by cone locality: neighboring sites share most
-		// of their cones, so sorting the live faults by site position
-		// keeps each 63-fault group's union cone small.
-		sort.SliceStable(live, func(a, b int) bool {
-			ga, gb := s.faults[live[a]].Gate, s.faults[live[b]].Gate
-			if level[ga] != level[gb] {
-				return level[ga] < level[gb]
-			}
-			return ga < gb
-		})
-		for lo := 0; lo < len(live); lo += 63 {
-			hi := lo + 63
+		for lo := 0; lo < len(live); lo += lanesPerGroup {
+			hi := lo + lanesPerGroup
 			if hi > len(live) {
 				hi = len(live)
 			}
-			if err := s.pfGroup(sim, cones, b, live[lo:hi], level, st); err != nil {
+			if err := s.pfGroup(good, flat, cones, b, live[lo:hi], st); err != nil {
 				return err
 			}
 		}
@@ -88,176 +101,108 @@ func runFaultParallel(s *session) error {
 	return nil
 }
 
-// pfState is the per-run scratch of the PF engine, allocated once and
-// reused across groups and blocks. Group membership is tracked with
-// epoch marks (slot == gid) instead of per-group maps, the same O(1)
-// dedup trick the cone builder uses.
+// pfState is the engine's per-run scratch, allocated once and reused
+// across groups and blocks. Group membership is tracked with epoch
+// marks (slot == gid) instead of per-group maps.
 type pfState struct {
-	gid        int
-	inCone     []int        // per gate: member of the current group's union cone
-	frontMark  []int        // per gate: already collected into the frontier
-	forceMark  []int        // per gate: force[gate] belongs to this group
-	force      []*laneForce // per gate: the group's lane-forcing masks
-	outMark    []int        // per output index: already collected into outs
-	union      []int
-	unionForce []*laneForce // aligned with union; nil = no faults on the gate
-	outs       []int
-	frontier   []int
-	fv         []uint64 // per-gate lane words
+	ws *logicsim.WideSim
+	lf *logicsim.WideLaneForces
+
+	gid       int32
+	inCone    []int32 // per slot: member of the current group's union cone
+	frontMark []int32 // per slot: already collected into the frontier
+	outMark   []int32 // per output index: already collected into outs
+
+	union    []int32
+	outs     []int
+	frontier []int32
+	goodOut  []uint64
 }
 
-// laneForce holds one gate's lane-forcing masks within a PF group: stem
-// masks force the gate's output word, pin masks force one fanin word
-// during this gate's evaluation only (the fanout-branch semantics).
-type laneForce struct {
-	stem0, stem1 uint64
-	pins         []pinForce
-}
-
-type pinForce struct {
-	pin    int
-	m0, m1 uint64
-}
-
-// pfGroup simulates one group of up to 63 live faults against one
+// pfGroup simulates one group of up to 255 live faults against one
 // block, lane i+1 carrying group[i].
-func (s *session) pfGroup(sim *logicsim.Simulator, cones *logicsim.ConeSet, b *block, group []int, level []int, st *pfState) error {
-	c := s.c
+func (s *session) pfGroup(good *logicsim.FlatSim, flat *logicsim.Flat, cones *logicsim.FlatConeSet, b *block, group []int, st *pfState) error {
 	st.gid++
 	gid := st.gid
+	st.lf.Reset()
 	union, outs := st.union[:0], st.outs[:0]
 	for i, fi := range group {
 		f := s.faults[fi]
-		lane := uint64(1) << uint(i+1)
-		var lf *laneForce
-		if st.forceMark[f.Gate] == gid {
-			lf = st.force[f.Gate]
-		} else {
-			lf = &laneForce{}
-			st.force[f.Gate] = lf
-			st.forceMark[f.Gate] = gid
+		if err := st.lf.Add(logicsim.Injection{Gate: f.Gate, Pin: f.Pin, Stuck: f.Stuck}, i+1); err != nil {
+			return err
 		}
-		switch {
-		case f.Pin < 0 && f.Stuck:
-			lf.stem1 |= lane
-		case f.Pin < 0:
-			lf.stem0 |= lane
-		default:
-			var pf *pinForce
-			for j := range lf.pins {
-				if lf.pins[j].pin == f.Pin {
-					pf = &lf.pins[j]
-					break
-				}
-			}
-			if pf == nil {
-				lf.pins = append(lf.pins, pinForce{pin: f.Pin})
-				pf = &lf.pins[len(lf.pins)-1]
-			}
-			if f.Stuck {
-				pf.m1 |= lane
-			} else {
-				pf.m0 |= lane
-			}
-		}
-		cone := cones.Cone(f.Gate)
-		for _, g := range cone.Gates {
-			if st.inCone[g] != gid {
-				st.inCone[g] = gid
-				union = append(union, g)
+		// Slot cones are already slot lists — the union build borrows
+		// them straight from the set, with no FlatCone copy.
+		cone := cones.ConeOfPtr(flat.SlotOf(f.Gate))
+		for _, slot := range cone.Slots {
+			if st.inCone[slot] != gid {
+				st.inCone[slot] = gid
+				union = append(union, slot)
 			}
 		}
 		for _, oi := range cone.Outputs {
 			if st.outMark[oi] != gid {
 				st.outMark[oi] = gid
-				outs = append(outs, oi)
+				outs = append(outs, int(oi))
 			}
 		}
 	}
-	sort.Slice(union, func(a, b int) bool {
-		if level[union[a]] != level[union[b]] {
-			return level[union[a]] < level[union[b]]
-		}
-		return union[a] < union[b]
-	})
-	sort.Ints(outs)
-	// Resolve each union gate's forcing masks once, aligned with the
-	// evaluation order, so the per-pattern loop is lookup-free.
-	unionForce := st.unionForce[:0]
-	for _, g := range union {
-		if st.forceMark[g] == gid {
-			unionForce = append(unionForce, st.force[g])
-		} else {
-			unionForce = append(unionForce, nil)
-		}
-	}
-	// Frontier: gates feeding the union cone from outside it; all their
+	// Ascending slot order is topological, so a plain integer sort
+	// levelizes the union.
+	slices.Sort(union)
+	slices.Sort(outs)
+	// Frontier: slots feeding the union cone from outside it; all their
 	// lanes carry the good value.
 	frontier := st.frontier[:0]
-	for _, g := range union {
-		for _, fin := range c.Gates[g].Fanin {
+	for _, slot := range union {
+		for _, fin := range flat.FaninSlots(int(slot)) {
 			if st.inCone[fin] != gid && st.frontMark[fin] != gid {
 				st.frontMark[fin] = gid
 				frontier = append(frontier, fin)
 			}
 		}
 	}
-	nLanes := uint(len(group) + 1)
-	laneMask := (uint64(1)<<nLanes - 1) &^ 1 // fault lanes 1..len(group)
-	var done uint64
-	var stage [8]uint64
-	wide := stage[:]
-	fv := st.fv
+	// laneMask covers fault lanes 1..len(group); done accumulates lanes
+	// whose fault has been detected, per word.
+	var laneMask, done [pfWords]uint64
+	nLanes := len(group) + 1
+	for k := 0; k < pfWords; k++ {
+		lo := k * 64
+		switch {
+		case nLanes >= lo+64:
+			laneMask[k] = ^uint64(0)
+		case nLanes > lo:
+			laneMask[k] = (uint64(1) << uint(nLanes-lo)) - 1
+		}
+	}
+	laneMask[0] &^= 1 // lane 0 is the good machine
+	ws := st.ws
 	for p := 0; p < b.pat.Count; p++ {
 		if done == laneMask {
 			break
 		}
-		for _, g := range frontier {
-			fv[g] = pfBroadcast(sim.Value(g), p)
+		for _, slot := range frontier {
+			ws.Broadcast(int(slot), good.Value(int(slot)), p)
 		}
-		for k, g := range union {
-			gate := &c.Gates[g]
-			lf := unionForce[k]
-			var v uint64
-			if gate.Type == netlist.Input {
-				v = pfBroadcast(sim.Value(g), p)
-			} else {
-				if len(gate.Fanin) > len(wide) {
-					wide = make([]uint64, len(gate.Fanin))
-				}
-				buf := wide[:len(gate.Fanin)]
-				for i, fin := range gate.Fanin {
-					buf[i] = fv[fin]
-				}
-				if lf != nil {
-					for _, pf := range lf.pins {
-						buf[pf.pin] = buf[pf.pin]&^pf.m0 | pf.m1
-					}
-				}
-				v = logicsim.EvalWords(gate.Type, buf)
-			}
-			if lf != nil {
-				v = v&^lf.stem0 | lf.stem1
-			}
-			fv[g] = v
+		if err := ws.EvalSlotsForced(good, p, union, st.lf); err != nil {
+			return err
 		}
 		for _, oi := range outs {
-			o := c.Outputs[oi]
-			d := (fv[o] ^ pfBroadcast(sim.Value(o), p)) & laneMask &^ done
-			for d != 0 {
-				lane := bits.TrailingZeros64(d)
-				d &^= uint64(1) << uint(lane)
-				done |= uint64(1) << uint(lane)
-				s.detect(group[lane-1], b.base+p)
+			slot := flat.OutputSlot(oi)
+			v := ws.ValueWords(slot)
+			gb := -(good.Value(slot) >> uint(p) & 1)
+			for k := 0; k < pfWords; k++ {
+				d := (v[k] ^ gb) & laneMask[k] &^ done[k]
+				for d != 0 {
+					bit := bits.TrailingZeros64(d)
+					d &^= uint64(1) << uint(bit)
+					done[k] |= uint64(1) << uint(bit)
+					s.detect(group[k*64+bit-1], b.base+p)
+				}
 			}
 		}
 	}
 	// Hand the (possibly grown) scratch slices back for the next group.
-	st.union, st.unionForce, st.outs, st.frontier = union, unionForce, outs, frontier
+	st.union, st.outs, st.frontier = union, outs, frontier
 	return nil
-}
-
-// pfBroadcast spreads bit p of a good-machine word across all 64 lanes.
-func pfBroadcast(w uint64, p int) uint64 {
-	return -(w >> uint(p) & 1)
 }

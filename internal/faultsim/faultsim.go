@@ -1,26 +1,21 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
-// sequence detects. Six engines share one result contract (identical
+// sequence detects. Three engines share one result contract (identical
 // FirstDetect, bit for bit) and one set of plumbing — block packing,
 // fault dropping, first-detect bookkeeping — and differ only in how
-// they spend the machine word:
+// they spend the machine word, all on the flat struct-of-arrays core:
 //
 //   - Serial: one fault at a time, full-circuit re-simulation as a
 //     scalar flat walk, no fault dropping — the classic baseline and
 //     the reference the other engines are cross-checked against;
 //   - PPSFP: parallel-pattern single-fault propagation with fault
-//     dropping, restricted to each fault's slot cone over the flat
-//     core (logicsim.FlatSim + FlatConeSet) — the workhorse used by
-//     the experiments;
-//   - Deductive: per-pattern fault-list propagation (one pass computes
-//     every fault's detectability for that pattern);
-//   - FaultParallel (PF): the good machine plus up to 63 faulty
-//     machines packed into the 64 bit-lanes of one word per pattern,
-//     evaluated over the union of the faults' output cones;
-//   - Concurrent: cone-restricted flat PPSFP sharded over a goroutine
-//     pool;
-//   - FaultParallel256 (pf256): the PF layout widened to 4-word lane
-//     blocks (good machine + 255 faulty machines) over the flat
-//     struct-of-arrays core (logicsim.Flat/WideSim).
+//     dropping, restricted to each fault's slot cone
+//     (logicsim.FlatSim + FlatConeSet), optionally sharded over a
+//     goroutine pool (Options.Workers) — the workhorse used by the
+//     experiments;
+//   - FaultParallel (PF): the good machine plus up to 255 faulty
+//     machines packed into the lanes of a 4-word lane block per
+//     pattern (logicsim.WideSim), evaluated over the union of the
+//     faults' output cones.
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault
@@ -75,10 +70,7 @@ type Engine int
 const (
 	PPSFP Engine = iota
 	Serial
-	Deductive
 	FaultParallel
-	Concurrent
-	FaultParallel256
 )
 
 // strategy is one entry of the engine registry: the CLI-stable name
@@ -93,12 +85,9 @@ type strategy struct {
 // bookkeeping with dropping), so adding an engine is one entry here
 // plus a run function.
 var registry = map[Engine]strategy{
-	Serial:           {"serial", func(s *session) error { return s.runParallelPattern(false, false) }},
-	PPSFP:            {"ppsfp", func(s *session) error { return s.runParallelPattern(true, !s.opt.FullCircuit) }},
-	Deductive:        {"deductive", runDeductive},
-	FaultParallel:    {"pf", runFaultParallel},
-	Concurrent:       {"concurrent", runConcurrent},
-	FaultParallel256: {"pf256", runFaultParallel256},
+	Serial:        {"serial", func(s *session) error { return s.runParallelPattern(false, false, 1) }},
+	PPSFP:         {"ppsfp", func(s *session) error { return s.runParallelPattern(true, !s.opt.FullCircuit, s.opt.Workers) }},
+	FaultParallel: {"pf", runFaultParallel},
 }
 
 // String names the engine.
@@ -135,13 +124,14 @@ func Engines() []Engine {
 
 // Options tunes a run; the zero value selects the defaults.
 type Options struct {
-	// Workers is the goroutine count for the Concurrent engine; <= 0
-	// selects GOMAXPROCS. Other engines ignore it.
+	// Workers shards the PPSFP engine's fault list over that many
+	// goroutines; <= 1 runs it on the calling goroutine. Results are
+	// identical either way. Other engines ignore it.
 	Workers int
-	// FullCircuit disables cone restriction in the PPSFP and Concurrent
-	// engines: every faulty pass re-evaluates the whole circuit. This is
-	// the pre-cone reference path, kept for cross-checking and for
-	// measuring what the cones buy (see BenchmarkEngines).
+	// FullCircuit disables cone restriction in the PPSFP engine: every
+	// faulty pass re-evaluates the whole circuit. This is the pre-cone
+	// reference path, kept for cross-checking and for measuring what
+	// the cones buy (see BenchmarkEngines).
 	FullCircuit bool
 }
 
@@ -176,9 +166,7 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 // session carries the state every engine shares: the circuit, the fault
 // list, lazily packed 64-pattern blocks with their good-machine
 // outputs, the lazily built flat form with its slot cones, and the
-// first-detect array the engines fill in. The pointer-walking simulator
-// and gate cones remain for the engines that still consume them
-// (deductive, pf); everything parallel-pattern runs flat.
+// first-detect array the engines fill in.
 type session struct {
 	c        *netlist.Circuit
 	faults   []fault.Fault
@@ -186,8 +174,6 @@ type session struct {
 	opt      Options
 	first    []int
 
-	sim        *logicsim.Simulator
-	cones      *logicsim.ConeSet
 	flat       *logicsim.Flat
 	flatCones  *logicsim.FlatConeSet
 	fsim       *logicsim.FlatSim
@@ -217,34 +203,6 @@ func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pa
 		first[i] = NotDetected
 	}
 	return &session{c: c, faults: faults, patterns: patterns, opt: opt, first: first}, nil
-}
-
-// simulator returns the session's levelized simulator, creating it on
-// first use. Engines that spawn goroutines create their own per-worker
-// simulators instead (the simulator is not safe for concurrent use).
-func (s *session) simulator() (*logicsim.Simulator, error) {
-	if s.sim == nil {
-		sim, err := logicsim.NewSimulator(s.c)
-		if err != nil {
-			return nil, err
-		}
-		s.sim = sim
-	}
-	return s.sim, nil
-}
-
-// coneSet returns the circuit's fault-site cones, built on first use
-// and cached on the circuit across sessions. The set is immutable and
-// shared across workers.
-func (s *session) coneSet() (*logicsim.ConeSet, error) {
-	if s.cones == nil {
-		cs, err := logicsim.ConeSetFor(s.c)
-		if err != nil {
-			return nil, err
-		}
-		s.cones = cs
-	}
-	return s.cones, nil
 }
 
 // flatCircuit returns the circuit's flat compiled form, built on first
@@ -328,7 +286,7 @@ func (s *session) packBlocks(needGood bool) ([]block, error) {
 
 // detect records that fault fi is detected by pattern p, keeping the
 // earliest index. Not safe for concurrent use on the same fault index;
-// the concurrent engine partitions the fault list so each index has one
+// the sharded PPSFP run partitions the fault list so each index has one
 // writer.
 func (s *session) detect(fi, p int) {
 	if s.first[fi] == NotDetected || p < s.first[fi] {
@@ -340,10 +298,10 @@ func (s *session) detect(fi, p int) {
 // dropping predicate).
 func (s *session) alive(fi int) bool { return s.first[fi] == NotDetected }
 
-// anyAlive reports whether any fault remains undetected, letting
-// dropping engines skip the dead tail of a long pattern set.
-func (s *session) anyAlive() bool {
-	for _, d := range s.first {
+// anyAlive reports whether any fault of [lo, hi) remains undetected,
+// letting dropping engines skip the dead tail of a long pattern set.
+func (s *session) anyAlive(lo, hi int) bool {
+	for _, d := range s.first[lo:hi] {
 		if d == NotDetected {
 			return true
 		}

@@ -202,7 +202,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Deductive.String() != "deductive" {
+	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || FaultParallel.String() != "pf" {
 		t.Error("engine names")
 	}
 	if Engine(9).String() != "Engine(9)" {
@@ -284,22 +284,6 @@ func BenchmarkSerialMul8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(c, reps, patterns, Serial); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeductiveMul8(b *testing.B) {
-	c, err := netlist.ArrayMultiplier(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fault.BuildUniverse(c)
-	reps := fault.Reps(u.Collapsed)
-	patterns := randomPatterns(c, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, reps, patterns, Deductive); err != nil {
 			b.Fatal(err)
 		}
 	}

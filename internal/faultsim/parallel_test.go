@@ -1,12 +1,16 @@
 package faultsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
 )
 
+// TestRunConcurrentMatchesSerial pins PPSFP sharded over a worker pool
+// (Options.Workers) to the Serial baseline, across pool sizes that
+// leave shards uneven or exceed what the fault list can fill.
 func TestRunConcurrentMatchesSerial(t *testing.T) {
 	c, err := netlist.ArrayMultiplier(5)
 	if err != nil {
@@ -19,7 +23,7 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 9} {
-		conc, err := RunConcurrent(c, faults, patterns, workers)
+		conc, err := RunOpts(c, faults, patterns, PPSFP, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -46,7 +50,7 @@ func TestRunConcurrentRace(t *testing.T) {
 	faults := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
 	patterns := randomPatterns(c, 200, 3)
 	for round := 0; round < 3; round++ {
-		if _, err := RunConcurrent(c, faults, patterns, 8); err != nil {
+		if _, err := RunOpts(c, faults, patterns, PPSFP, Options{Workers: 8}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,12 +59,12 @@ func TestRunConcurrentRace(t *testing.T) {
 func TestRunConcurrentErrors(t *testing.T) {
 	c := netlist.C17()
 	faults := fault.AllFaults(c)
-	if _, err := RunConcurrent(c, faults, nil, 4); err == nil {
+	if _, err := RunOpts(c, faults, nil, PPSFP, Options{Workers: 4}); err == nil {
 		t.Error("no patterns should error")
 	}
 }
 
-func BenchmarkConcurrentMul8(b *testing.B) {
+func BenchmarkPPSFPWorkersMul8(b *testing.B) {
 	c, err := netlist.ArrayMultiplier(8)
 	if err != nil {
 		b.Fatal(err)
@@ -70,7 +74,7 @@ func BenchmarkConcurrentMul8(b *testing.B) {
 	patterns := randomPatterns(c, 64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConcurrent(c, reps, patterns, 0); err != nil {
+		if _, err := RunOpts(c, reps, patterns, PPSFP, Options{Workers: runtime.GOMAXPROCS(0)}); err != nil {
 			b.Fatal(err)
 		}
 	}

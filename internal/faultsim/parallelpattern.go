@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/logicsim"
 )
@@ -11,12 +12,13 @@ import (
 // detects the fault, plus the (possibly regrown) output scratch slice.
 // With cones non-nil the pass is cone-restricted — only the fault's
 // slot cone is re-evaluated, with activation early-exit — and the flat
-// simulator must already hold the block's good-machine values (the cone
-// walks restore them, so consecutive calls share one good evaluation).
-// With cones nil it is the full-circuit reference path: a scalar flat
-// walk with the fault injected, diffed against the stored good outputs.
+// simulator must already hold the block's good-machine values (the
+// cone walks never disturb them, so consecutive calls share one good
+// evaluation). With cones nil it is the full-circuit reference path: a
+// scalar flat walk with the fault injected, diffed against the stored
+// good outputs.
 // This is the single copy of the diff-and-detect rule every
-// parallel-pattern engine (serial, ppsfp, concurrent) runs on.
+// parallel-pattern engine (serial, ppsfp) runs on.
 //
 //repolint:hotpath
 func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet, b *block, fi int, scratch []uint64) (uint64, []uint64, error) {
@@ -58,36 +60,79 @@ func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet,
 // baseline). cone restricts each faulty pass to the fault's slot cone
 // on top of the block's good-machine values instead of re-walking the
 // whole circuit.
-func (s *session) runParallelPattern(drop, cone bool) error {
+//
+// workers > 1 shards the fault list into that many contiguous ranges
+// (at most one per fault), each simulated on its own goroutine with its
+// own flat walk state (FlatSim is not safe for concurrent use) while
+// sharing the packed blocks, the immutable flat circuit, and its slot
+// cones. Every first-detect slot has exactly one writer, so fault
+// dropping works shard-locally without synchronization, and the result
+// is identical to the single-goroutine run; only wall-clock changes.
+func (s *session) runParallelPattern(drop, cone bool, workers int) error {
 	blocks, err := s.packBlocks(!cone)
-	if err != nil {
-		return err
-	}
-	fsim, err := s.flatSim()
 	if err != nil {
 		return err
 	}
 	var cones *logicsim.FlatConeSet
 	if cone {
+		// Resolved before any worker spawns; the set and its cones are
+		// immutable and shared read-only.
 		if cones, err = s.flatConeSet(); err != nil {
 			return err
 		}
 	}
+	if workers = min(workers, len(s.faults)); workers <= 1 {
+		fsim, err := s.flatSim()
+		if err != nil {
+			return err
+		}
+		return s.simulateFaults(fsim, blocks, cones, 0, len(s.faults), drop)
+	}
+	flat, err := s.flatCircuit()
+	if err != nil {
+		return err
+	}
+	var (
+		wg       sync.WaitGroup
+		firstErr error
+		errOnce  sync.Once
+	)
+	chunk := (len(s.faults) + workers - 1) / workers
+	for lo := 0; lo < len(s.faults); lo += chunk {
+		hi := min(lo+chunk, len(s.faults))
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			if err := s.simulateFaults(logicsim.NewFlatSim(flat), blocks, cones, lo, hi, drop); err != nil {
+				errOnce.Do(func() { firstErr = err })
+			}
+		}(lo, hi)
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// simulateFaults runs faults [lo, hi) through every block on one flat
+// walk state, recording first detections. With cones non-nil each
+// block's good machine is established once and every surviving fault
+// re-walks only its cone on top of it.
+func (s *session) simulateFaults(fsim *logicsim.FlatSim, blocks []block, cones *logicsim.FlatConeSet, lo, hi int, drop bool) error {
 	var scratch []uint64
+	var err error
 	for bi := range blocks {
 		b := &blocks[bi]
-		if drop && !s.anyAlive() {
+		if drop && !s.anyAlive(lo, hi) {
 			break // everything detected; skip the dead tail
 		}
-		if cone {
+		if cones != nil {
 			// (Re-)establish the good machine for this block; the cone
-			// runs save and restore it, so one evaluation serves every
+			// walks never disturb it, so one evaluation serves every
 			// surviving fault.
 			if scratch, err = fsim.RunInto(b.pat, scratch); err != nil {
 				return err
 			}
 		}
-		for fi := range s.faults {
+		for fi := lo; fi < hi; fi++ {
 			if drop && !s.alive(fi) {
 				continue
 			}

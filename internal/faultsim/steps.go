@@ -46,27 +46,34 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 			byPattern[p] = append(byPattern[p], fi)
 		}
 	}
-	sim, err := logicsim.NewSimulator(c)
+	// The slot cones are the ones the pattern-level run just used (cached
+	// on the circuit), so the refinement builds nothing new.
+	cones, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		return Result{}, err
 	}
-	cones, err := logicsim.ConeSetFor(c)
-	if err != nil {
-		return Result{}, err
-	}
+	flat := cones.Flat()
+	fsim := logicsim.NewFlatSim(flat)
 	outDiffs := make([]uint64, nOut)
+	var good []uint64
 	for p, fis := range byPattern {
 		blk, err := logicsim.PackPatterns([]logicsim.Pattern{patterns[p]})
 		if err != nil {
 			return Result{}, err
 		}
-		if _, err := sim.Run(blk); err != nil {
+		if good, err = fsim.RunInto(blk, good); err != nil {
 			return Result{}, err
 		}
 		for _, fi := range fis {
 			f := faults[fi]
-			cone := cones.Cone(f.Gate)
-			diff, err := sim.RunWithFaultCone(f.Gate, f.Pin, f.Stuck, cone, outDiffs)
+			slot := flat.SlotOf(f.Gate)
+			cone := cones.ConeOfPtr(slot)
+			var diff uint64
+			if f.Pin < 0 {
+				diff, err = fsim.RunCone(slot, f.Stuck, cone, outDiffs)
+			} else {
+				diff, err = fsim.RunConeForced(slot, f.Pin, f.Stuck, cone, outDiffs)
+			}
 			if err != nil {
 				return Result{}, err
 			}
@@ -77,7 +84,7 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 			// first strobed output the fault flips.
 			for _, oi := range cone.Outputs {
 				if outDiffs[oi]&1 != 0 {
-					first[fi] = p*nOut + oi
+					first[fi] = p*nOut + int(oi)
 					break
 				}
 			}

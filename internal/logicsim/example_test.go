@@ -37,11 +37,11 @@ func ExamplePackPatterns() {
 	if err := c.MarkOutput("y"); err != nil {
 		panic(err)
 	}
-	sim, err := logicsim.NewSimulator(c)
+	flat, err := logicsim.NewFlat(c)
 	if err != nil {
 		panic(err)
 	}
-	out, err := sim.Run(block)
+	out, err := logicsim.NewFlatSim(flat).RunInto(block, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -19,12 +19,12 @@ import (
 // PatternBlock loads with one copy), then every logic gate in
 // topological order. Because fanins are stored as slot indices, slot
 // order is itself a valid evaluation order, and ascending-slot subsets
-// (like the union cones the pf256 engine walks) stay topological with a
+// (like the union cones the fault-parallel engine walks) stay topological with a
 // plain integer sort.
 //
 // A Flat is immutable after construction and safe for concurrent
-// readers; per-goroutine walk state lives in FlatSim / WideSim. It is
-// cached on the circuit next to the ConeSet (see FlatFor) and dropped
+// readers; per-goroutine walk state lives in FlatSim / WideSim. It can
+// be cached on the circuit (see FlatFor), in which case it is dropped
 // on any mutation.
 type Flat struct {
 	c     *netlist.Circuit
@@ -179,12 +179,10 @@ func NewFlat(c *netlist.Circuit) (*Flat, error) {
 }
 
 // FlatFor returns the circuit's flat compiled form, building it on
-// first use and caching it on the circuit next to the ConeSet (both
-// live in the same SimCache slot and are dropped together on any
-// mutation). Safe for concurrent callers on a levelized circuit —
-// sweep workers lazily compile the shared circuit from per-worker
-// ATEs — but like every lazy circuit cache it must not race with
-// mutation.
+// first use and caching it on the circuit (every simulator-derived
+// cache lives in the same SimCache slot and is dropped together on any
+// mutation). Safe for concurrent callers on a levelized circuit, but
+// like every lazy circuit cache it must not race with mutation.
 func FlatFor(c *netlist.Circuit) (*Flat, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -231,8 +229,8 @@ func (f *Flat) FaninSlots(slot int) []int32 {
 func (f *Flat) OutputSlot(oi int) int { return int(f.outSlot[oi]) }
 
 // FlatSim is the 64-lane walk state over a Flat: one value word per
-// slot, reused across runs. Like Simulator it is not safe for
-// concurrent use; create one per goroutine over the shared Flat.
+// slot, reused across runs. It is not safe for concurrent use; create
+// one per goroutine over the shared Flat.
 type FlatSim struct {
 	f    *Flat
 	val  []uint64
@@ -242,6 +240,10 @@ type FlatSim struct {
 	// cone walk and kept warm. The good machine in val is never mutated
 	// by a cone walk, so there is nothing to save or restore.
 	shadow []uint64
+	// Multi-fault walk scratch (see RunWithFaultsInto): the resolved,
+	// slot-sorted fault list and a fanin staging buffer.
+	multi []SlotInjection
+	stage []uint64
 }
 
 // NewFlatSim allocates walk state for the flat circuit.
@@ -253,9 +255,8 @@ func NewFlatSim(f *Flat) *FlatSim {
 func (s *FlatSim) Flat() *Flat { return s.f }
 
 // RunInto simulates the block and appends the primary-output words to
-// out (reusing its capacity): the allocation-free counterpart of
-// Simulator.Run. Passing out with capacity >= the output count makes
-// the steady state zero-alloc.
+// out (reusing its capacity). Passing out with capacity >= the output
+// count makes the steady state zero-alloc.
 //
 //repolint:hotpath
 func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
@@ -275,8 +276,7 @@ func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
 
 // RunWithFaultInto simulates the block with a single stuck-at fault
 // injected and appends the primary-output words to out (reusing its
-// capacity): the scalar flat counterpart of Simulator.RunWithFaultInto,
-// and the walk behind the faultsim Serial baseline. slot is the fault
+// capacity): the walk behind the faultsim Serial baseline. slot is the fault
 // site's slot; pin < 0 is a stem fault on the slot's output, pin >= 0
 // forces that input pin during the slot's evaluation only.
 //
@@ -289,10 +289,7 @@ func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool
 	if slot < 0 || slot >= len(f.op) {
 		return nil, errSlotRange(slot)
 	}
-	var stuckWord uint64
-	if stuck {
-		stuckWord = ^uint64(0)
-	}
+	word := stuckWord(stuck)
 	s.mask = block.Mask()
 	copy(s.val[:f.numIn], block.Inputs)
 	switch {
@@ -302,20 +299,20 @@ func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool
 		if pin >= 0 {
 			return nil, errNoPin(slot, pin)
 		}
-		s.val[slot] = stuckWord
+		s.val[slot] = word
 		s.walkRange(f.numIn, len(f.op))
 	case pin < 0:
 		// Stem fault on a logic slot: walk up to the site, overwrite its
 		// output, walk the rest.
 		s.walkRange(f.numIn, slot)
-		s.val[slot] = stuckWord
+		s.val[slot] = word
 		s.walkRange(slot+1, len(f.op))
 	default:
 		if int32(pin) >= f.faninAt[slot+1]-f.faninAt[slot] {
 			return nil, errNoPin(slot, pin)
 		}
 		s.walkRange(f.numIn, slot)
-		s.val[slot] = s.evalForcedPin(slot, pin, stuckWord)
+		s.val[slot] = s.evalForcedPin(slot, pin, word)
 		s.walkRange(slot+1, len(f.op))
 	}
 	out = out[:0]
@@ -325,8 +322,8 @@ func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool
 	return out, nil
 }
 
-// Value returns the value word of a slot after the last run; the pf256
-// engine reads good-machine frontier values through it.
+// Value returns the value word of a slot after the last run; the
+// fault-parallel engine reads good-machine frontier values through it.
 func (s *FlatSim) Value(slot int) uint64 { return s.val[slot] }
 
 // walkRange is the flat hot loop: one linear pass over the logic slots

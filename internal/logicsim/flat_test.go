@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -83,7 +84,7 @@ func TestFlatForConcurrentBuild(t *testing.T) {
 	}
 	const workers = 8
 	flats := make([]*Flat, workers)
-	cones := make([]*ConeSet, workers)
+	cones := make([]*FlatConeSet, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -94,7 +95,7 @@ func TestFlatForConcurrentBuild(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			cs, err := ConeSetFor(c)
+			cs, err := FlatConeSetFor(c)
 			if err != nil {
 				t.Error(err)
 				return
@@ -125,7 +126,7 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	}
 	// The cone set shares the same cache bundle without evicting the
 	// flat form.
-	cs1, err := ConeSetFor(c)
+	cs1, err := FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs2, err := ConeSetFor(c)
+	cs2, err := FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs3, err := ConeSetFor(c)
+	cs3, err := FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +158,13 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	}
 }
 
-// TestFlatSimMatchesSimulator pins the flat walk to the levelized
-// Simulator over random circuits: same blocks, bit-identical outputs.
+// TestFlatSimMatchesSimulator pins the flat walk to the reference
+// simulator (the bool-per-gate evaluator in ref_test.go) over random
+// circuits: same blocks, bit-identical outputs.
 func TestFlatSimMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
 		c, err := netlist.RandomCircuit("r", 5+rng.Intn(8), 30+rng.Intn(150), 2+rng.Intn(7), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := NewSimulator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,26 +177,19 @@ func TestFlatSimMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sim.Run(block)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refRun(c, block, nil)
 		got, err := fs.RunInto(block, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mask := block.Mask()
 		for o := range want {
-			if want[o]&mask != got[o]&mask {
-				t.Fatalf("trial %d output %d: flat %x, simulator %x", trial, o, got[o]&mask, want[o]&mask)
+			if want[o] != got[o]&mask {
+				t.Fatalf("trial %d output %d: flat %x, reference %x", trial, o, got[o]&mask, want[o])
 			}
 		}
 		// Value exposes per-slot words consistent with the gate map.
-		for slot := 0; slot < f.Slots(); slot++ {
-			if fs.Value(slot)&mask != sim.Value(f.GateAt(slot))&mask {
-				t.Fatalf("trial %d slot %d: value plane diverged", trial, slot)
-			}
-		}
+		checkPlane(t, f, fs, refWords(c, block, nil), mask, fmt.Sprintf("trial %d value plane", trial))
 	}
 }
 
@@ -255,9 +246,6 @@ func TestZeroFaninGateRejectedAtLoad(t *testing.T) {
 		c.Gates[id].Fanin = nil
 		return c
 	}
-	if _, err := NewSimulator(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
-		t.Errorf("NewSimulator: want named-gate error, got %v", err)
-	}
 	if _, err := NewFlat(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
 		t.Errorf("NewFlat: want named-gate error, got %v", err)
 	}
@@ -272,10 +260,6 @@ func TestZeroFaninGateRejectedAtLoad(t *testing.T) {
 // garbage lanes as valid patterns.
 func TestZeroValuePatternBlockRejected(t *testing.T) {
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +273,6 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := NewLaneForces(c)
 	blocks := []PatternBlock{
 		{},
 		{Inputs: make([]uint64, len(c.Inputs))}, // Count 0
@@ -298,17 +281,11 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 		{Inputs: make([]uint64, len(c.Inputs)-1), Count: 64}, // width mismatch
 	}
 	for i, b := range blocks {
-		if _, err := sim.Run(b); err == nil {
-			t.Errorf("block %d: Run accepted it", i)
+		if _, err := fs.RunWithFaultInto(b, 0, -1, true, nil); err == nil {
+			t.Errorf("block %d: RunWithFaultInto accepted it", i)
 		}
-		if _, err := sim.RunWithFault(b, 0, -1, true); err == nil {
-			t.Errorf("block %d: RunWithFault accepted it", i)
-		}
-		if _, err := sim.RunWithFaults(b, nil); err == nil {
-			t.Errorf("block %d: RunWithFaults accepted it", i)
-		}
-		if _, err := sim.RunLaneForced(b, 0, lf, nil); err == nil {
-			t.Errorf("block %d: RunLaneForced accepted it", i)
+		if _, err := fs.RunWithFaultsInto(b, nil, nil); err == nil {
+			t.Errorf("block %d: RunWithFaultsInto accepted it", i)
 		}
 		if _, err := fs.RunInto(b, nil); err == nil {
 			t.Errorf("block %d: FlatSim.RunInto accepted it", i)
@@ -320,7 +297,7 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 	// The boundary Counts stay accepted.
 	for _, count := range []int{1, 64} {
 		b := PatternBlock{Inputs: make([]uint64, len(c.Inputs)), Count: count}
-		if _, err := sim.Run(b); err != nil {
+		if _, err := fs.RunInto(b, nil); err != nil {
 			t.Errorf("Count %d rejected: %v", count, err)
 		}
 	}

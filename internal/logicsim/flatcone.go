@@ -47,8 +47,8 @@ type FlatCone struct {
 // circuit, stored as flattened ranges over shared arrays (one
 // allocation each, no per-cone slice headers). It is immutable after
 // construction and safe for concurrent readers; it is cached on the
-// circuit beside the Flat and the ConeSet (one simCaches bundle, one
-// invalidation rule).
+// circuit beside the Flat (one simCaches bundle, one invalidation
+// rule).
 type FlatConeSet struct {
 	f      *Flat
 	coneAt []int32 // slot -> offset of its cone in slots; len = slots+1
@@ -275,8 +275,7 @@ func (cs *FlatConeSet) Size() int { return len(cs.slots) }
 // plane — the good machine is never touched), and only the reachable
 // primary outputs are diffed. An inactive fault — the stuck value
 // equals the good value on every pattern of the block — returns
-// immediately without touching the cone. The flat analogue of
-// Simulator.RunWithFaultCone with pin < 0.
+// immediately without touching the cone.
 //
 // The returned word has bit p set iff pattern p of the block produces a
 // different value on some reachable output; if outDiffs is non-nil it
@@ -291,18 +290,13 @@ func (s *FlatSim) RunCone(slot int, stuck bool, cone *FlatCone, outDiffs []uint6
 	if err := s.checkCone(slot, cone); err != nil {
 		return 0, err
 	}
-	var v uint64
-	if stuck {
-		v = ^uint64(0)
-	}
-	return s.coneWalk(v, cone, outDiffs), nil
+	return s.coneWalk(stuckWord(stuck), cone, outDiffs), nil
 }
 
 // RunConeForced is RunCone for an *input-pin* fault: input pin `pin` of
 // the slot's gate is forced to the stuck value during the site's
 // evaluation only (the fanout-branch semantics), and the resulting site
-// value propagates through the cone. The flat analogue of
-// Simulator.RunWithFaultCone with pin >= 0.
+// value propagates through the cone.
 //
 //repolint:hotpath
 func (s *FlatSim) RunConeForced(slot, pin int, stuck bool, cone *FlatCone, outDiffs []uint64) (uint64, error) {
@@ -313,11 +307,7 @@ func (s *FlatSim) RunConeForced(slot, pin int, stuck bool, cone *FlatCone, outDi
 	if pin < 0 || int32(pin) >= f.faninAt[slot+1]-f.faninAt[slot] {
 		return 0, errNoPin(slot, pin)
 	}
-	var stuckWord uint64
-	if stuck {
-		stuckWord = ^uint64(0)
-	}
-	return s.coneWalk(s.evalForcedPin(slot, pin, stuckWord), cone, outDiffs), nil
+	return s.coneWalk(s.evalForcedPin(slot, pin, stuckWord(stuck)), cone, outDiffs), nil
 }
 
 // checkCone validates the cone-walk preconditions shared by RunCone and

@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -73,12 +74,12 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 	}
 }
 
-// TestRunConeMatchesRunWithFaultCone is the core flat-cone correctness
+// TestRunConeMatchesReference is the core flat-cone correctness
 // property: for every fault site, pin, and polarity, the flat cone walk
-// must return the same diff word and per-output diffs as the pointer
-// cone walk — and, transitively through cone_test.go, the full-circuit
-// faulty-vs-good diff.
-func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
+// must return the per-output diffs of the reference simulator's faulty
+// and good machines (ref_test.go), and their union as the diff word.
+// The good machine must survive every cone walk untouched.
+func TestRunConeMatchesReference(t *testing.T) {
 	circuits := []*netlist.Circuit{netlist.C17()}
 	for seed := int64(4); seed <= 5; seed++ {
 		c, err := netlist.RandomCircuit("r", 8, 80, 6, seed)
@@ -88,14 +89,6 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 		circuits = append(circuits, c)
 	}
 	for _, c := range circuits {
-		sim, err := NewSimulator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := NewConeSet(c)
-		if err != nil {
-			t.Fatal(err)
-		}
 		f, err := NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
@@ -106,29 +99,25 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 		}
 		fs := NewFlatSim(f)
 		block := randomBlock(t, c, 1+int(int64(len(c.Gates))%64), int64(len(c.Gates)))
-		if _, err := sim.Run(block); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := fs.RunInto(block, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantDiffs := make([]uint64, len(c.Outputs))
+		good := refRun(c, block, nil)
+		goodPlane := refWords(c, block, nil)
+		checkPlane(t, f, fs, goodPlane, block.Mask(), c.Name+" good machine")
 		gotDiffs := make([]uint64, len(c.Outputs))
 		for gate, g := range c.Gates {
 			slot := f.SlotOf(gate)
 			cone := fcs.ConeOf(slot)
-			pins := make([]int, 0, len(g.Fanin)+1)
-			pins = append(pins, -1)
-			for pin := range g.Fanin {
-				pins = append(pins, pin)
-			}
-			for _, pin := range pins {
+			for pin := -1; pin < len(g.Fanin); pin++ {
 				for _, stuck := range []bool{false, true} {
-					want, err := sim.RunWithFaultCone(gate, pin, stuck, cs.Cone(gate), wantDiffs)
-					if err != nil {
-						t.Fatal(err)
+					bad := refRun(c, block, []Injection{{Gate: gate, Pin: pin, Stuck: stuck}})
+					var want uint64
+					for o := range bad {
+						want |= bad[o] ^ good[o]
 					}
 					var got uint64
+					var err error
 					if pin < 0 {
 						got, err = fs.RunCone(slot, stuck, &cone, gotDiffs)
 					} else {
@@ -138,39 +127,31 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Fatalf("%s gate %d pin %d stuck %v: flat diff %x, pointer diff %x",
+						t.Fatalf("%s gate %d pin %d stuck %v: flat diff %x, reference %x",
 							c.Name, gate, pin, stuck, got, want)
 					}
 					for _, oi := range cone.Outputs {
-						if gotDiffs[oi] != wantDiffs[oi] {
-							t.Fatalf("%s gate %d pin %d stuck %v: output %d flat diff %x, pointer %x",
-								c.Name, gate, pin, stuck, oi, gotDiffs[oi], wantDiffs[oi])
+						if w := bad[oi] ^ good[oi]; gotDiffs[oi] != w {
+							t.Fatalf("%s gate %d pin %d stuck %v: output %d flat diff %x, reference %x",
+								c.Name, gate, pin, stuck, oi, gotDiffs[oi], w)
 						}
 					}
+					// The walk must leave every slot of the good machine
+					// as it found it.
+					checkPlane(t, f, fs, goodPlane, block.Mask(),
+						fmt.Sprintf("%s after gate %d pin %d stuck %v", c.Name, gate, pin, stuck))
 				}
-			}
-		}
-		// After all the cone runs the flat value plane must again hold
-		// the good machine.
-		for slot := 0; slot < f.Slots(); slot++ {
-			if fs.Value(slot)&block.Mask() != sim.Value(f.GateAt(slot))&block.Mask() {
-				t.Fatalf("%s slot %d: good machine not restored after cone runs", c.Name, slot)
 			}
 		}
 	}
 }
 
 // TestRunWithFaultIntoMatchesSimulator pins the scalar flat fault walk
-// (the faultsim Serial baseline) to the pointer-walking
-// Simulator.RunWithFault.
+// (the faultsim Serial baseline) to the reference simulator.
 func TestRunWithFaultIntoMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 4; trial++ {
 		c, err := netlist.RandomCircuit("r", 6+rng.Intn(5), 40+rng.Intn(80), 3+rng.Intn(5), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := NewSimulator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,26 +163,18 @@ func TestRunWithFaultIntoMatchesSimulator(t *testing.T) {
 		block := randomBlock(t, c, 1+rng.Intn(64), rng.Int63())
 		var out []uint64
 		for gate, g := range c.Gates {
-			pins := make([]int, 0, len(g.Fanin)+1)
-			pins = append(pins, -1)
-			for pin := range g.Fanin {
-				pins = append(pins, pin)
-			}
-			for _, pin := range pins {
+			for pin := -1; pin < len(g.Fanin); pin++ {
 				stuck := rng.Intn(2) == 1
-				want, err := sim.RunWithFault(block, gate, pin, stuck)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := refRun(c, block, []Injection{{Gate: gate, Pin: pin, Stuck: stuck}})
 				out, err = fs.RunWithFaultInto(block, f.SlotOf(gate), pin, stuck, out)
 				if err != nil {
 					t.Fatal(err)
 				}
 				mask := block.Mask()
 				for o := range want {
-					if want[o]&mask != out[o]&mask {
-						t.Fatalf("trial %d gate %d pin %d: output %d flat %x, simulator %x",
-							trial, gate, pin, o, out[o]&mask, want[o]&mask)
+					if want[o] != out[o]&mask {
+						t.Fatalf("trial %d gate %d pin %d: output %d flat %x, reference %x",
+							trial, gate, pin, o, out[o]&mask, want[o])
 					}
 				}
 			}

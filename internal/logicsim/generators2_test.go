@@ -13,7 +13,7 @@ func TestCarryLookaheadAdderAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestCLAMatchesRipple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simC, _ := NewSimulator(cla)
-	simR, _ := NewSimulator(rca)
+	simC, _ := newGateSim(cla)
+	simR, _ := newGateSim(rca)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
 		p := make(Pattern, 2*w+1)
@@ -91,7 +91,7 @@ func TestALUSliceOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBarrelShifterShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDatapathReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,19 @@
-// Package logicsim simulates combinational circuits. It provides
+// Package logicsim simulates combinational circuits on one substrate,
+// the flat struct-of-arrays compiled form (Flat). It provides
 //
-//   - a 64-way bit-parallel levelized simulator (Simulator): each uint64
-//     word carries 64 independent input patterns, the standard trick the
-//     fault simulator builds on;
-//   - a scalar three-valued (0/1/X) simulator used by the PODEM test
-//     generator's implication step;
-//   - an event-driven simulator that only re-evaluates gates whose
-//     inputs changed, with activity accounting;
-//   - precomputed per-gate output cones (ConeSet) and cone-restricted
-//     faulty re-simulation (RunWithFaultCone), the structural machinery
-//     the fault simulator's fast engines are built on.
+//   - a 64-way bit-parallel levelized walk (FlatSim): each uint64 word
+//     carries 64 independent input patterns, the standard trick the
+//     fault simulator builds on, with single- and multi-fault
+//     injection;
+//   - precomputed per-slot output cones (FlatConeSet) and
+//     cone-restricted faulty re-simulation (RunCone/RunConeForced), the
+//     structural machinery the fault simulator's fast engines are built
+//     on;
+//   - N-word lane blocks (WideSim) with per-lane fault forcing
+//     (WideLaneForces), where each bit-lane carries its own machine: the
+//     fault-parallel and chip-parallel engines' walk;
+//   - three-valued (0/1/X) gate functions (EvalT) for the PODEM test
+//     generator's implication step.
 package logicsim
 
 import (
@@ -82,41 +86,11 @@ func (b PatternBlock) validate(nIn int) error {
 	return nil
 }
 
-// Simulator evaluates a circuit 64 patterns at a time. It owns a value
-// array indexed by gate ID and is reused across blocks; it is not safe
-// for concurrent use (create one per goroutine).
-type Simulator struct {
-	c      *netlist.Circuit
-	order  []int
-	val    []uint64
-	mask   uint64      // valid-pattern mask of the last Run block
-	saved  []uint64    // scratch for RunWithFaultCone save/restore
-	forces *LaneForces // scratch forcing table for RunWithFaults
-}
-
-// NewSimulator prepares a simulator for the circuit, levelizing it. A
-// zero-fanin logic gate is rejected here with its name — the eval hot
-// loops index fanin[0] unconditionally, so a malformed netlist must
-// fail at load, not panic mid-walk.
-func NewSimulator(c *netlist.Circuit) (*Simulator, error) {
-	order, err := c.Order()
-	if err != nil {
-		return nil, err
-	}
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		if g.Type != netlist.Input && len(g.Fanin) == 0 {
-			return nil, fmt.Errorf("logicsim: gate %q (%v) has no fanin and is not a primary input", g.Name, g.Type)
-		}
-	}
-	return &Simulator{c: c, order: order, val: make([]uint64, len(c.Gates))}, nil
-}
-
-// EvalWords evaluates one gate of type t over explicit fanin words:
-// the shared bit-parallel gate function, exposed for engines (like the
-// fault simulator's fault-parallel one) that stage fanin words
-// themselves before evaluation.
-func EvalWords(t netlist.GateType, words []uint64) uint64 {
+// evalWords evaluates one gate of type t over explicit fanin words:
+// the bit-parallel gate function for walks that stage fanin words
+// themselves (a gate whose pins carry forced values) before
+// evaluation.
+func evalWords(t netlist.GateType, words []uint64) uint64 {
 	switch t {
 	case netlist.Buf:
 		return words[0]
@@ -153,173 +127,3 @@ func EvalWords(t netlist.GateType, words []uint64) uint64 {
 		panic(fmt.Sprintf("logicsim: cannot evaluate gate type %v", t))
 	}
 }
-
-// eval computes a gate's word from its fanin words. It is the hot
-// inner loop of every simulator pass, so it indexes val directly
-// instead of staging through EvalWords; the two switches (plus the
-// 1/2-input fast path in RunWithFaultCone) must implement the same
-// gate functions.
-func eval(t netlist.GateType, fanin []int, val []uint64) uint64 {
-	switch t {
-	case netlist.Buf:
-		return val[fanin[0]]
-	case netlist.Not:
-		return ^val[fanin[0]]
-	case netlist.And, netlist.Nand:
-		v := val[fanin[0]]
-		for _, f := range fanin[1:] {
-			v &= val[f]
-		}
-		if t == netlist.Nand {
-			return ^v
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := val[fanin[0]]
-		for _, f := range fanin[1:] {
-			v |= val[f]
-		}
-		if t == netlist.Nor {
-			return ^v
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := val[fanin[0]]
-		for _, f := range fanin[1:] {
-			v ^= val[f]
-		}
-		if t == netlist.Xnor {
-			return ^v
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("logicsim: cannot evaluate gate type %v", t))
-	}
-}
-
-// Run simulates the block and returns the output words (one per
-// primary output, in output order). The returned slice is freshly
-// allocated; hot paths use RunInto to reuse a caller buffer.
-func (s *Simulator) Run(block PatternBlock) ([]uint64, error) {
-	return s.RunInto(block, nil)
-}
-
-// RunInto is Run appending the output words to out (reusing its
-// capacity): with a pre-sized buffer the steady state allocates
-// nothing.
-func (s *Simulator) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
-	if err := block.validate(len(s.c.Inputs)); err != nil {
-		return nil, err
-	}
-	s.mask = block.Mask()
-	for i, id := range s.c.Inputs {
-		s.val[id] = block.Inputs[i]
-	}
-	for _, id := range s.order {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		s.val[id] = eval(g.Type, g.Fanin, s.val)
-	}
-	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
-	}
-	return out, nil
-}
-
-// RunWithFault simulates the block with a single stuck-at fault
-// injected. site is the gate whose *output* is faulty when pin < 0;
-// otherwise the fault is on input pin `pin` of gate `site` (a fanout-
-// branch fault affecting only that receiver). stuck is the stuck value.
-func (s *Simulator) RunWithFault(block PatternBlock, site, pin int, stuck bool) ([]uint64, error) {
-	return s.RunWithFaultInto(block, site, pin, stuck, nil)
-}
-
-// RunWithFaultInto is RunWithFault appending the output words to out
-// (reusing its capacity).
-func (s *Simulator) RunWithFaultInto(block PatternBlock, site, pin int, stuck bool, out []uint64) ([]uint64, error) {
-	if err := block.validate(len(s.c.Inputs)); err != nil {
-		return nil, err
-	}
-	if site < 0 || site >= len(s.c.Gates) {
-		return nil, fmt.Errorf("logicsim: fault site %d out of range", site)
-	}
-	var stuckWord uint64
-	if stuck {
-		stuckWord = ^uint64(0)
-	}
-	for i, id := range s.c.Inputs {
-		s.val[id] = block.Inputs[i]
-		if id == site && pin < 0 {
-			s.val[id] = stuckWord
-		}
-	}
-	for _, id := range s.order {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		var v uint64
-		if id == site && pin >= 0 {
-			// Input-pin fault: evaluate with the faulty pin forced.
-			if pin >= len(g.Fanin) {
-				return nil, fmt.Errorf("logicsim: gate %d has no pin %d", site, pin)
-			}
-			v = evalWithForcedPin(g.Type, g.Fanin, s.val, pin, stuckWord)
-		} else {
-			v = eval(g.Type, g.Fanin, s.val)
-		}
-		if id == site && pin < 0 {
-			v = stuckWord
-		}
-		s.val[id] = v
-	}
-	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
-	}
-	return out, nil
-}
-
-// evalWithForcedPin evaluates a gate with one fanin word replaced. It
-// stages the fanin words and defers to EvalWords — this path runs once
-// per fault site, not per gate, so the copy is cheap and keeps the
-// gate-function switch in one place.
-func evalWithForcedPin(t netlist.GateType, fanin []int, val []uint64, pin int, forced uint64) uint64 {
-	var stage [8]uint64
-	words := stage[:0]
-	if len(fanin) > len(stage) {
-		words = make([]uint64, 0, len(fanin))
-	}
-	for i, f := range fanin {
-		w := val[f]
-		if i == pin {
-			w = forced
-		}
-		words = append(words, w)
-	}
-	return EvalWords(t, words)
-}
-
-// RunSingle simulates one pattern and returns the output bits.
-func (s *Simulator) RunSingle(p Pattern) ([]bool, error) {
-	block, err := PackPatterns([]Pattern{p})
-	if err != nil {
-		return nil, err
-	}
-	words, err := s.Run(block)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(words))
-	for i, w := range words {
-		out[i] = w&1 == 1
-	}
-	return out, nil
-}
-
-// Values exposes the internal value of gate id after the last Run; used
-// by the fault simulator for stem analysis.
-func (s *Simulator) Value(id int) uint64 { return s.val[id] }

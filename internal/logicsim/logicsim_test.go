@@ -12,7 +12,7 @@ import (
 func runC17(t *testing.T, bits [5]bool) [2]bool {
 	t.Helper()
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestParallelMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestParallelMatchesScalar(t *testing.T) {
 }
 
 func TestRunInputWidthError(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := newGateSim(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAdderAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMultiplierMultiplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestParityTreeCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDecoderCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMuxTreeCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestComparatorCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRunWithFaultStuckOutput(t *testing.T) {
 	// c17: force gate 22's output stuck-at-1; output 22 must read 1 for
 	// every pattern.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestRunWithFaultInputPin(t *testing.T) {
 	// and check gate 19's behaviour is untouched by comparing output 23
 	// against a direct reference with only that pin forced.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,17 +399,30 @@ func TestRunWithFaultInputPin(t *testing.T) {
 }
 
 func TestRunWithFaultErrors(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := newGateSim(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
 	block, _ := PackPatterns(allC17Patterns()[:1])
-	if _, err := sim.RunWithFault(block, 999, -1, true); err == nil {
+	if _, err := sim.fs.RunWithFaultInto(block, 999, -1, true, nil); err == nil {
 		t.Error("bad site should error")
 	}
-	if _, err := sim.RunWithFault(block, 10, 7, true); err == nil {
+	if _, err := sim.fs.RunWithFaultInto(block, sim.flat.SlotOf(10), 7, true, nil); err == nil {
 		t.Error("bad pin should error")
 	}
+	if _, err := sim.fs.RunWithFaultInto(block, sim.flat.SlotOf(c17Input(t, sim.c, "3")), 0, true, nil); err == nil {
+		t.Error("pin fault on a primary input should error")
+	}
+}
+
+// c17Input returns the gate ID of a named c17 primary input.
+func c17Input(t *testing.T, c *netlist.Circuit, name string) int {
+	t.Helper()
+	id, ok := c.GateByName(name)
+	if !ok {
+		t.Fatalf("no gate %q", name)
+	}
+	return id
 }
 
 // allC17Patterns returns all 32 input patterns of c17.
@@ -430,7 +443,7 @@ func BenchmarkParallelSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package logicsim
 
 import (
+	"cmp"
 	"fmt"
-
-	"repro/internal/netlist"
+	"slices"
 )
 
 // Injection is one stuck-at fault to inject during simulation. Pin < 0
@@ -16,277 +16,133 @@ type Injection struct {
 	Stuck bool
 }
 
-// LaneForces is an array-indexed multi-fault forcing table over the 64
-// bit-lanes of a word: each fault site carries a careMask (which lanes
-// are forced there) and forceBits (the stuck values of those lanes),
-// applied as v = (v &^ careMask) | forceBits. Stem forces overwrite a
-// gate's output word; pin forces overwrite one fanin word during that
-// gate's evaluation only (the fanout-branch semantics).
-//
-// The lanes parameter of Add is what generalizes the table across the
-// two word layouts the simulator supports: RunWithFaults forces every
-// lane of a 64-pattern word (one faulty machine, 64 patterns), while
-// the tester's chip-parallel lot engine forces one lane per chip (64
-// machines, one pattern) — up to 63 multi-fault chips plus the good
-// machine in lane 0, sharing one table per batch.
-//
-// Adding the same site twice with overlapping lanes keeps the *last*
-// value on the overlap, matching how a physical short list is applied
-// in order. Reset clears the table in O(1) via an epoch bump; the
-// per-gate arrays are allocated once and reused, which is what replaces
-// the three per-call maps RunWithFaults used to build. A LaneForces is
-// not safe for concurrent use.
-type LaneForces struct {
-	c     *netlist.Circuit
-	epoch int
-	mark  []int // per gate: the epoch this gate's entries belong to
-	// stemCare/stemForce are the output-stem masks; stemCare == 0 means
-	// no stem fault on the gate this epoch.
-	stemCare  []uint64
-	stemForce []uint64
-	// pins holds the per-input-pin masks of each gate, truncated to
-	// zero length when the gate is first touched in a new epoch.
-	pins [][]pinLane
+// SlotInjection is an Injection resolved to slot space: the fault site
+// as a flat slot index, with site and pin validation already done. A
+// negative Pin is an output-stem fault, as in Injection.
+// Flat.ResolveInjections produces them; AddResolved consumes them
+// without revalidating — the bulk-build path of the lot engines, which
+// rebuild forcing tables from the same fault universe every batch and
+// would otherwise pay the gate-range check and gate→slot lookup on
+// every one of those adds.
+type SlotInjection struct {
+	Slot  int32
+	Pin   int32
+	Stuck bool
 }
 
-// pinLane is one forced input pin of a gate.
-type pinLane struct {
-	pin         int
-	care, force uint64
-}
-
-// NewLaneForces allocates a forcing table sized for the circuit.
-func NewLaneForces(c *netlist.Circuit) *LaneForces {
-	n := len(c.Gates)
-	return &LaneForces{
-		c:         c,
-		epoch:     1,
-		mark:      make([]int, n),
-		stemCare:  make([]uint64, n),
-		stemForce: make([]uint64, n),
-		pins:      make([][]pinLane, n),
+// resolve validates one injection against the flat circuit and maps it
+// to slot space.
+func (f *Flat) resolve(fi Injection) (SlotInjection, error) {
+	if fi.Gate < 0 || fi.Gate >= f.Slots() {
+		return SlotInjection{}, fmt.Errorf("logicsim: fault site %d out of range", fi.Gate)
 	}
-}
-
-// Reset empties the table for reuse. O(1): stale entries are ignored by
-// the epoch marks and overwritten on the next Add.
-func (lf *LaneForces) Reset() { lf.epoch++ }
-
-// Add forces the fault onto the given lanes (a bitmask of the word's
-// bit-lanes carrying a machine that has this fault). On lanes already
-// forced at the same site, the new stuck value wins.
-func (lf *LaneForces) Add(f Injection, lanes uint64) error {
-	if f.Gate < 0 || f.Gate >= len(lf.c.Gates) {
-		return fmt.Errorf("logicsim: fault site %d out of range", f.Gate)
-	}
-	if lf.mark[f.Gate] != lf.epoch {
-		lf.mark[f.Gate] = lf.epoch
-		lf.stemCare[f.Gate] = 0
-		lf.stemForce[f.Gate] = 0
-		lf.pins[f.Gate] = lf.pins[f.Gate][:0]
-	}
-	var force uint64
-	if f.Stuck {
-		force = lanes
-	}
-	if f.Pin < 0 {
-		lf.stemCare[f.Gate] |= lanes
-		lf.stemForce[f.Gate] = lf.stemForce[f.Gate]&^lanes | force
-		return nil
-	}
-	if f.Pin >= len(lf.c.Gates[f.Gate].Fanin) {
-		return fmt.Errorf("logicsim: gate %d has no pin %d", f.Gate, f.Pin)
-	}
-	for i := range lf.pins[f.Gate] {
-		if pl := &lf.pins[f.Gate][i]; pl.pin == f.Pin {
-			pl.care |= lanes
-			pl.force = pl.force&^lanes | force
-			return nil
+	slot := f.slotOf[fi.Gate]
+	if fi.Pin >= 0 {
+		if nf := int(f.faninAt[slot+1] - f.faninAt[slot]); fi.Pin >= nf {
+			return SlotInjection{}, fmt.Errorf("logicsim: gate %d has no pin %d", fi.Gate, fi.Pin)
 		}
 	}
-	lf.pins[f.Gate] = append(lf.pins[f.Gate], pinLane{pin: f.Pin, care: lanes, force: force})
-	return nil
+	return SlotInjection{Slot: slot, Pin: int32(fi.Pin), Stuck: fi.Stuck}, nil
 }
 
-// RunWithFaults simulates the block with *all* the given faults present
-// simultaneously — the multiple-fault machine a physically defective
-// chip actually is. The paper's model treats the chip's defects as
-// equivalent to n single stuck faults; the tester substrate uses this
-// to exercise that assumption honestly rather than assuming single
-// faults. The forcing table is array-indexed scratch owned by the
-// simulator, so repeated calls allocate nothing.
-func (s *Simulator) RunWithFaults(block PatternBlock, faults []Injection) ([]uint64, error) {
-	return s.RunWithFaultsInto(block, faults, nil)
-}
-
-// RunWithFaultsInto is RunWithFaults appending the output words to out
-// (reusing its capacity), the allocation-free variant the ATE's serial
-// oracle loops on.
-func (s *Simulator) RunWithFaultsInto(block PatternBlock, faults []Injection, out []uint64) ([]uint64, error) {
-	if err := block.validate(len(s.c.Inputs)); err != nil {
-		return nil, err
-	}
-	if s.forces == nil {
-		s.forces = NewLaneForces(s.c)
-	}
-	s.forces.Reset()
-	for _, f := range faults {
-		// The fault is present in every pattern of the block: force all
-		// 64 pattern-lanes.
-		if err := s.forces.Add(f, ^uint64(0)); err != nil {
+// ResolveInjections validates a fault list and resolves it to slot
+// space in one pass, so repeated table builds over the same universe
+// can use AddResolved instead of revalidating every fault.
+func (f *Flat) ResolveInjections(faults []Injection) ([]SlotInjection, error) {
+	out := make([]SlotInjection, len(faults))
+	for i, fi := range faults {
+		si, err := f.resolve(fi)
+		if err != nil {
 			return nil, err
 		}
-	}
-	for i, id := range s.c.Inputs {
-		s.val[id] = s.forces.forceWord(id, block.Inputs[i])
-	}
-	s.runForced(s.forces)
-	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
+		out[i] = si
 	}
 	return out, nil
 }
 
-// RunLaneForced evaluates pattern p of the block across 64 machine
-// lanes in one circuit walk: every lane sees the same input bits
-// (broadcast from bit p of each packed input word), and each forced
-// site applies its lane masks as v = (v &^ care) | force. Lanes whose
-// machines carry no fault — lane 0 by the tester's convention —
-// compute the good circuit. Output words are appended to out (reused
-// when capacity allows) in primary-output order.
+// RunWithFaultsInto simulates the block with *all* the given faults
+// present simultaneously — the multiple-fault machine a physically
+// defective chip actually is — and appends the primary-output words to
+// out (reusing its capacity). Every fault is present on all 64 pattern
+// lanes. The paper's model treats a chip's defects as equivalent to n
+// single stuck faults; the tester's serial oracle and the diagnosis
+// datalog use this walk to exercise that assumption honestly rather
+// than assuming single faults.
 //
-// This is the chip-parallel lot engine's inner loop: one walk per
-// pattern evaluates the good machine plus up to 63 defective chips.
-//
-//repolint:hotpath
-func (s *Simulator) RunLaneForced(block PatternBlock, p int, forces *LaneForces, out []uint64) ([]uint64, error) {
-	if err := block.validate(len(s.c.Inputs)); err != nil {
+// Faults at the same site apply in list order, so the last stuck value
+// on a stem (or on a given pin) wins, matching how a physical short
+// list is applied. Pin faults force their fanin word during the gate's
+// evaluation only (the fanout-branch semantics); a stem fault on the
+// same gate overrides the result. The resolved fault list and the
+// staging buffer are scratch owned by the simulator, so repeated calls
+// with no more faults than before allocate nothing.
+func (s *FlatSim) RunWithFaultsInto(block PatternBlock, faults []Injection, out []uint64) ([]uint64, error) {
+	f := s.f
+	if err := block.validate(f.numIn); err != nil {
 		return nil, err
 	}
-	if p < 0 || p >= block.Count {
-		return nil, errPatternRange(p, block.Count)
+	s.multi = s.multi[:0]
+	for _, fi := range faults {
+		si, err := f.resolve(fi)
+		if err != nil {
+			return nil, err
+		}
+		s.multi = append(s.multi, si)
 	}
-	if forces.c != s.c {
-		return nil, errForeignForces()
+	// A stable sort by slot groups each site's faults in list order and
+	// visits the sites in evaluation order.
+	slices.SortStableFunc(s.multi, func(a, b SlotInjection) int { return cmp.Compare(a.Slot, b.Slot) })
+	s.mask = block.Mask()
+	copy(s.val[:f.numIn], block.Inputs)
+	next := f.numIn // first slot not yet evaluated
+	for lo := 0; lo < len(s.multi); {
+		slot := int(s.multi[lo].Slot)
+		hi := lo + 1
+		for hi < len(s.multi) && int(s.multi[hi].Slot) == slot {
+			hi++
+		}
+		site := s.multi[lo:hi]
+		if slot >= f.numIn {
+			s.walkRange(next, slot)
+			s.val[slot] = s.evalPinsForced(slot, site)
+			next = slot + 1
+		}
+		for _, si := range site {
+			if si.Pin < 0 {
+				s.val[slot] = stuckWord(si.Stuck)
+			}
+		}
+		lo = hi
 	}
-	for i, id := range s.c.Inputs {
-		// Broadcast bit p across all 64 lanes, then force.
-		s.val[id] = forces.forceWord(id, -(block.Inputs[i] >> uint(p) & 1))
-	}
-	s.runForced(forces)
+	s.walkRange(next, len(f.op))
 	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
+	for _, os := range f.outSlot {
+		out = append(out, s.val[os])
 	}
 	return out, nil
 }
 
-// errPatternRange and errForeignForces build RunLaneForced's
-// validation errors outside the annotated hot functions, so the
-// formatting machinery stays off the hot path.
-func errPatternRange(p, count int) error {
-	return fmt.Errorf("logicsim: pattern %d outside block of %d", p, count)
+// evalPinsForced evaluates one logic slot with the pin faults among
+// site (all on this slot) forcing their fanin words, in list order.
+func (s *FlatSim) evalPinsForced(slot int, site []SlotInjection) uint64 {
+	f := s.f
+	fanin := f.fanin[f.faninAt[slot]:f.faninAt[slot+1]]
+	s.stage = s.stage[:0]
+	for _, fs := range fanin {
+		s.stage = append(s.stage, s.val[fs])
+	}
+	for _, si := range site {
+		if si.Pin >= 0 {
+			s.stage[si.Pin] = stuckWord(si.Stuck)
+		}
+	}
+	return evalWords(f.c.Gates[f.gateOf[slot]].Type, s.stage)
 }
 
-func errForeignForces() error {
-	return fmt.Errorf("logicsim: forcing table built for a different circuit")
-}
-
-// forceWord applies the gate's stem masks to a value word, if any.
-//
-//repolint:hotpath
-func (lf *LaneForces) forceWord(id int, v uint64) uint64 {
-	if lf.mark[id] == lf.epoch {
-		if care := lf.stemCare[id]; care != 0 {
-			v = v&^care | lf.stemForce[id]
-		}
+// stuckWord is the value word of a stuck-at fault on every lane.
+func stuckWord(stuck bool) uint64 {
+	if stuck {
+		return ^uint64(0)
 	}
-	return v
-}
-
-// runForced is the shared forced-evaluation walk: inputs are already
-// loaded (and stem-forced) in s.val; every other gate evaluates with
-// its pin forces staged and its stem force overwriting the result.
-//
-//repolint:hotpath
-func (s *Simulator) runForced(lf *LaneForces) {
-	for _, id := range s.order {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		var v uint64
-		if lf.mark[id] == lf.epoch {
-			if pins := lf.pins[id]; len(pins) > 0 {
-				v = evalWithLanePins(g.Type, g.Fanin, s.val, pins)
-			} else {
-				v = eval(g.Type, g.Fanin, s.val)
-			}
-			if care := lf.stemCare[id]; care != 0 {
-				v = v&^care | lf.stemForce[id]
-			}
-		} else {
-			v = eval(g.Type, g.Fanin, s.val)
-		}
-		s.val[id] = v
-	}
-}
-
-// evalWithLanePins evaluates a gate with some fanin words lane-forced.
-// In a chip-parallel batch most of the circuit carries forces, so this
-// runs for a large fraction of gates per walk: the ubiquitous 1- and
-// 2-input shapes are evaluated inline, and only wider gates pay the
-// staged EvalWords path.
-//
-//repolint:hotpath
-func evalWithLanePins(t netlist.GateType, fanin []int, val []uint64, pins []pinLane) uint64 {
-	switch len(fanin) {
-	case 1:
-		w := val[fanin[0]]
-		for _, pl := range pins {
-			w = w&^pl.care | pl.force
-		}
-		switch t {
-		case netlist.Buf, netlist.And, netlist.Or, netlist.Xor:
-			return w
-		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
-			return ^w
-		}
-	case 2:
-		a, b := val[fanin[0]], val[fanin[1]]
-		for _, pl := range pins {
-			if pl.pin == 0 {
-				a = a&^pl.care | pl.force
-			} else {
-				b = b&^pl.care | pl.force
-			}
-		}
-		switch t {
-		case netlist.And:
-			return a & b
-		case netlist.Nand:
-			return ^(a & b)
-		case netlist.Or:
-			return a | b
-		case netlist.Nor:
-			return ^(a | b)
-		case netlist.Xor:
-			return a ^ b
-		case netlist.Xnor:
-			return ^(a ^ b)
-		}
-	}
-	var stage [8]uint64
-	words := stage[:0]
-	if len(fanin) > len(stage) {
-		words = make([]uint64, 0, len(fanin))
-	}
-	for _, f := range fanin {
-		words = append(words, val[f])
-	}
-	for _, pl := range pins {
-		words[pl.pin] = words[pl.pin]&^pl.care | pl.force
-	}
-	return EvalWords(t, words)
+	return 0
 }

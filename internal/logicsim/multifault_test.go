@@ -12,7 +12,7 @@ func TestRunWithFaultsSingleMatchesRunWithFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRunWithFaultsDominantStem(t *testing.T) {
 	// Two faults where one is on a PO stem: the PO must read the stuck
 	// value regardless of the other fault.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRunWithFaultsDominantStem(t *testing.T) {
 }
 
 func TestRunWithFaultsErrors(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := newGateSim(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunWithFaultsErrors(t *testing.T) {
 func TestRunWithFaultsInputStem(t *testing.T) {
 	// Stem fault on a primary input.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := newGateSim(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,47 +131,98 @@ func TestRunWithFaultsInputStem(t *testing.T) {
 	}
 }
 
-func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
-	// Lane l of one RunLaneForced walk must equal bit p of a separate
-	// RunWithFaults pass over that lane's fault set — the chip-parallel
-	// transpose identity the tester's lot engine is built on.
+// TestRunWithFaultsMatchesReference pins the multi-fault flat walk to
+// the reference simulator on random multi-fault machines, including
+// repeated sites of both polarities (the last listed value must win)
+// and stem plus pin faults on one gate.
+func TestRunWithFaultsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 6; trial++ {
+		c, err := netlist.RandomCircuit("r", 6+rng.Intn(6), 40+rng.Intn(100), 3+rng.Intn(5), rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := newGateSim(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block := randomBlock(t, c, 1+rng.Intn(64), rng.Int63())
+		for _, machine := range randomMachines(c, 40, rng) {
+			if f := machine[0]; rng.Intn(3) == 0 {
+				// Re-add the first site with the opposite polarity.
+				machine = append(machine, Injection{Gate: f.Gate, Pin: f.Pin, Stuck: !f.Stuck})
+			}
+			got, err := sim.RunWithFaults(block, machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refRun(c, block, machine)
+			for o := range want {
+				if got[o]&block.Mask() != want[o] {
+					t.Fatalf("trial %d machine %v output %d: flat %x, reference %x",
+						trial, machine, o, got[o]&block.Mask(), want[o])
+				}
+			}
+		}
+	}
+}
+
+// TestRunWithFaultsZeroAllocs pins the multi-fault walk's steady state
+// (the tester's serial oracle loops on it) to zero allocations.
+func TestRunWithFaultsZeroAllocs(t *testing.T) {
 	c, err := netlist.RandomCircuit("r", 9, 90, 7, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFlatSim(f)
+	block := randomBlock(t, c, 64, 3)
+	machine := randomMachines(c, 1, rand.New(rand.NewSource(5)))[0]
+	out, err := fs.RunWithFaultsInto(block, machine, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if out, err = fs.RunWithFaultsInto(block, machine, out); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("RunWithFaultsInto allocates %v per run, want 0", allocs)
+	}
+}
+
+func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
+	// Lane l of one 1-word RunLaneForced walk must equal bit p of a
+	// separate RunWithFaults pass over that lane's fault set — the
+	// chip-parallel transpose identity the tester's lot engine is built
+	// on, checked between the two flat walks.
+	c, err := netlist.RandomCircuit("r", 9, 90, 7, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := newGateSim(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := NewWideSim(sim.flat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := NewWideLaneForces(sim.flat, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	patterns := make([]Pattern, 17)
-	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
-		for j := range p {
-			p[j] = rng.Intn(2) == 1
-		}
-		patterns[i] = p
-	}
-	block, err := PackPatterns(patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	block := randomBlock(t, c, 17, 4)
 	// 12 machines in lanes 1..12, each with 1..5 random faults; lane 0
 	// stays good.
-	machines := make([][]Injection, 12)
-	lf := NewLaneForces(c)
+	machines := randomMachines(c, 12, rng)
 	for m := range machines {
-		k := 1 + rng.Intn(5)
-		for j := 0; j < k; j++ {
-			gate := rng.Intn(len(c.Gates))
-			pin := -1
-			if n := len(c.Gates[gate].Fanin); n > 0 && rng.Intn(2) == 1 {
-				pin = rng.Intn(n)
-			}
-			machines[m] = append(machines[m], Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1})
-		}
 		for _, f := range machines[m] {
-			if err := lf.Add(f, 1<<uint(m+1)); err != nil {
+			if err := lf.Add(f, m+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,7 +242,7 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	}
 	var out []uint64
 	for p := 0; p < block.Count; p++ {
-		out, err = sim.RunLaneForced(block, p, lf, out)
+		out, err = ws.RunLaneForced(block, p, lf, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,51 +262,20 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	}
 }
 
-func TestLaneForcesLastValueWins(t *testing.T) {
-	// Adding both polarities of one site to the same lane keeps the
-	// last — the same order-dependent overwrite RunWithFaults applies to
-	// a chip's fault list.
-	c := netlist.C17()
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g22, _ := c.GateByName("22")
-	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
-	lf := NewLaneForces(c)
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: false}, 1<<1); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: true}, 1<<1); err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.RunLaneForced(block, 0, lf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0]>>1&1 != 1 {
-		t.Error("second add (stuck-at-1) should win the lane")
-	}
-	// And the multi-fault path agrees on the same double-injection.
-	multi, err := sim.RunWithFaults(block, []Injection{
-		{Gate: g22, Pin: -1, Stuck: false},
-		{Gate: g22, Pin: -1, Stuck: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi[0]&1 != 1 {
-		t.Error("RunWithFaults should keep the last polarity too")
-	}
-}
-
 func TestRunLaneForcedErrors(t *testing.T) {
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := NewLaneForces(c)
+	ws, err := NewWideSim(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := NewWideLaneForces(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := lf.Add(Injection{Gate: 999, Pin: -1}, 1); err == nil {
 		t.Error("bad gate should error")
 	}
@@ -263,16 +283,23 @@ func TestRunLaneForcedErrors(t *testing.T) {
 		t.Error("bad pin should error")
 	}
 	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
-	if _, err := sim.RunLaneForced(block, 5, lf, nil); err == nil {
+	if _, err := ws.RunLaneForced(block, 5, lf, nil); err == nil {
 		t.Error("pattern outside block should error")
 	}
 	other, _ := netlist.RippleAdder(2)
-	otherLf := NewLaneForces(other)
-	if _, err := sim.RunLaneForced(block, 0, otherLf, nil); err == nil {
+	otherFlat, err := NewFlat(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherLf, err := NewWideLaneForces(otherFlat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.RunLaneForced(block, 0, otherLf, nil); err == nil {
 		t.Error("foreign forcing table should error")
 	}
 	short := PatternBlock{Inputs: []uint64{0}, Count: 1}
-	if _, err := sim.RunLaneForced(short, 0, lf, nil); err == nil {
+	if _, err := ws.RunLaneForced(short, 0, lf, nil); err == nil {
 		t.Error("wrong width should error")
 	}
 }

@@ -113,45 +113,3 @@ func EvalT(t netlist.GateType, in []Trit) Trit {
 		panic(fmt.Sprintf("logicsim: cannot evaluate gate type %v", t))
 	}
 }
-
-// TernarySim is a scalar three-valued simulator. PODEM uses it to
-// propagate partial input assignments (unassigned inputs are X).
-type TernarySim struct {
-	c     *netlist.Circuit
-	order []int
-	val   []Trit
-	buf   []Trit
-}
-
-// NewTernarySim prepares a ternary simulator.
-func NewTernarySim(c *netlist.Circuit) (*TernarySim, error) {
-	order, err := c.Order()
-	if err != nil {
-		return nil, err
-	}
-	return &TernarySim{c: c, order: order, val: make([]Trit, len(c.Gates)), buf: make([]Trit, 8)}, nil
-}
-
-// Run evaluates the circuit for the given primary-input assignment
-// (one Trit per input, in input order) and returns the full per-gate
-// value slice, valid until the next Run.
-func (s *TernarySim) Run(inputs []Trit) ([]Trit, error) {
-	if len(inputs) != len(s.c.Inputs) {
-		return nil, fmt.Errorf("logicsim: %d input trits for %d inputs", len(inputs), len(s.c.Inputs))
-	}
-	for i, id := range s.c.Inputs {
-		s.val[id] = inputs[i]
-	}
-	for _, id := range s.order {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		in := s.buf[:0]
-		for _, f := range g.Fanin {
-			in = append(in, s.val[f])
-		}
-		s.val[id] = EvalT(g.Type, in)
-	}
-	return s.val, nil
-}

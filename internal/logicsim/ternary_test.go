@@ -77,18 +77,39 @@ func TestEvalTAllTypes(t *testing.T) {
 	}
 }
 
+// ternaryRun evaluates the circuit gate by gate in three-valued logic
+// for one primary-input assignment (one Trit per input, in input
+// order) — the implication walk PODEM runs over EvalT — and returns
+// every gate's value by gate ID.
+func ternaryRun(t *testing.T, c *netlist.Circuit, inputs []Trit) []Trit {
+	t.Helper()
+	order, err := c.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]Trit, len(c.Gates))
+	for i, id := range c.Inputs {
+		val[id] = inputs[i]
+	}
+	var in []Trit
+	for _, id := range order {
+		g := &c.Gates[id]
+		if g.Type == netlist.Input {
+			continue
+		}
+		in = in[:0]
+		for _, f := range g.Fanin {
+			in = append(in, val[f])
+		}
+		val[id] = EvalT(g.Type, in)
+	}
+	return val
+}
+
 func TestTernaryAgreesWithBinary(t *testing.T) {
-	// With no X inputs, the ternary simulator must agree with the
-	// parallel simulator on every gate.
+	// With no X inputs, three-valued evaluation must agree with the
+	// reference binary simulator on every gate.
 	c, err := netlist.RandomCircuit("r", 10, 200, 8, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsim, err := NewTernarySim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsim, err := NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +127,13 @@ func TestTernaryAgreesWithBinary(t *testing.T) {
 				in[i] = F
 			}
 		}
-		tv, err := tsim.Run(in)
-		if err != nil {
-			return false
-		}
-		if _, err := bsim.RunSingle(p); err != nil {
-			return false
-		}
+		tv := ternaryRun(t, c, in)
+		bv := refGates(c, p, nil)
 		for id := range c.Gates {
-			bin := bsim.Value(id)&1 == 1
 			if tv[id] == X {
 				return false // no X can appear with fully assigned inputs
 			}
-			if (tv[id] == T) != bin {
+			if (tv[id] == T) != bv[id] {
 				return false
 			}
 		}
@@ -133,138 +148,17 @@ func TestTernaryXPropagation(t *testing.T) {
 	// c17 with all-X inputs: every gate is X. With input 3=0, gates 10
 	// and 11 become 1 regardless of other inputs.
 	c := netlist.C17()
-	sim, err := NewTernarySim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := sim.Run([]Trit{X, X, X, X, X})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := ternaryRun(t, c, []Trit{X, X, X, X, X})
 	for _, id := range c.Outputs {
 		if vals[id] != X {
 			t.Errorf("all-X inputs: output %s = %v", c.Gates[id].Name, vals[id])
 		}
 	}
 	// Input order: 1,2,3,6,7. Set 3 = 0.
-	vals, err = sim.Run([]Trit{X, X, F, X, X})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals = ternaryRun(t, c, []Trit{X, X, F, X, X})
 	g10, _ := c.GateByName("10")
 	g11, _ := c.GateByName("11")
 	if vals[g10] != T || vals[g11] != T {
 		t.Errorf("NAND with a 0 input must be 1: g10=%v g11=%v", vals[g10], vals[g11])
-	}
-}
-
-func TestTernaryWidthError(t *testing.T) {
-	sim, err := NewTernarySim(netlist.C17())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run([]Trit{X}); err == nil {
-		t.Error("wrong width should error")
-	}
-}
-
-func TestEventSimMatchesLevelized(t *testing.T) {
-	c, err := netlist.RandomCircuit("r", 10, 300, 10, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := uint32(5)
-	prev := make(Pattern, len(c.Inputs))
-	for trial := 0; trial < 50; trial++ {
-		p := make(Pattern, len(c.Inputs))
-		copy(p, prev)
-		// Flip a few bits to exercise the event path.
-		for k := 0; k < 3; k++ {
-			s = s*1664525 + 1013904223
-			p[int(s>>8)%len(p)] = s>>20&1 == 1
-		}
-		got, err := esim.Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bsim.RunSingle(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d output %d: event %v levelized %v", trial, i, got[i], want[i])
-			}
-		}
-		prev = p
-	}
-}
-
-func TestEventSimActivitySavings(t *testing.T) {
-	// Flipping one input must evaluate far fewer gates than the full
-	// circuit on average.
-	c, err := netlist.ArrayMultiplier(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := make(Pattern, len(c.Inputs))
-	if _, err := esim.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	full := esim.Evals
-	// Single-bit change.
-	p2 := make(Pattern, len(p))
-	copy(p2, p)
-	p2[0] = true
-	if _, err := esim.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-	delta := esim.Evals - full
-	if delta >= full {
-		t.Errorf("event sim evaluated %d gates for a 1-bit change (full = %d)", delta, full)
-	}
-}
-
-func TestEventSimWidthError(t *testing.T) {
-	esim, err := NewEventSim(netlist.C17())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := esim.Run(Pattern{true}); err == nil {
-		t.Error("wrong width should error")
-	}
-}
-
-func BenchmarkEventSimOneBitFlips(b *testing.B) {
-	c, err := netlist.ArrayMultiplier(12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(Pattern, len(c.Inputs))
-	if _, err := esim.Run(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p[i%len(p)] = !p[i%len(p)]
-		if _, err := esim.Run(p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

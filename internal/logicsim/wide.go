@@ -7,9 +7,9 @@ import (
 
 // The wide lane layer generalizes the 64-bit machine word to an N-word
 // lane block: 64*N independent bit-lanes ride one flat circuit walk.
-// The fault simulator's pf256 engine puts the good machine plus 255
-// faulty machines in the lanes of a 4-word block; the ATE's
-// chipparallel256 lot engine puts the good machine plus 255 defective
+// The fault simulator's fault-parallel engine puts the good machine
+// plus 255 faulty machines in the lanes of a 4-word block; the ATE's
+// chip-parallel lot engine puts the good machine plus 255 defective
 // chips there. Lane blocks are stored stride-packed: a slot's block is
 // the W contiguous words at [slot*W, slot*W+W), lane L living in word
 // L/64 bit L%64 — so the whole value plane is one contiguous []uint64
@@ -120,32 +120,39 @@ func (b WidePatternBlock) validate(nIn int) error {
 	return nil
 }
 
-// WideLaneForces is the N-word generalization of LaneForces, indexed by
-// *slot* so it pairs with the flat walk: each forced slot carries a
-// care mask (which lanes are forced there) and force bits (their stuck
-// values), applied as v = (v &^ care) | force word by word. Stem forces
-// overwrite a slot's output block; pin forces overwrite one fanin block
-// during that slot's evaluation only. Adding the same site twice on an
-// overlapping lane keeps the last value, and Reset is O(1) via an epoch
-// bump — the same contracts as LaneForces. Not safe for concurrent
-// use.
+// WideLaneForces is a multi-fault forcing table over the lanes of an
+// N-word lane block: each forced slot carries a care mask (which lanes
+// are forced there) and force bits (their stuck values), applied as
+// v = (v &^ care) | force word by word. Stem forces overwrite a slot's
+// output block; pin forces overwrite one fanin block during that slot's
+// evaluation only (the fanout-branch semantics). Adding the same site
+// twice on an overlapping lane keeps the last value, matching how a
+// physical short list is applied in order, and Reset is O(1) via an
+// epoch bump. Not safe for concurrent use.
+//
+// Storage is by fault *site*, not by slot: a slot gets a site entry the
+// first time a fault is added there and keeps it across Resets. An
+// engine forces the faults of one fault universe over and over, and a
+// universe touches a small fraction of a large circuit's slots, so the
+// table costs one int32 per slot plus one entry per distinct site ever
+// forced — not a full mask block per slot.
 type WideLaneForces struct {
-	f     *Flat
-	words int
-	epoch int32
-	mark  []int32 // per slot: epoch its entries belong to
-	// stem holds the stride-packed stem masks of every slot, care and
-	// force interleaved: slot s owns stem[s*2*words : (s+1)*2*words),
-	// care block first, force block second. Builds and force application
-	// always touch a slot's care and force words together, and slots are
-	// visited in scattered order — keeping the pair adjacent makes the
-	// common case one cache line per site instead of two (a measurable
-	// share of lot-engine time on shallow circuits, where tables are
-	// rebuilt far more often than they are walked). An all-zero care
-	// block means no stem fault on the slot this epoch.
+	f      *Flat
+	words  int     // current lane-block width
+	stride int     // words per site entry: 2 × the width the table was built for
+	epoch  int32   // current epoch; a site whose mark differs is empty
+	site   []int32 // per slot: its site entry, -1 until a fault is added there
+	mark   []int32 // per site: the epoch its entries belong to
+	// stem holds the stem masks of every site, care and force
+	// interleaved: site i owns stem[i*stride : i*stride+2*words), care
+	// block first, force block second. Builds and force application
+	// always touch a site's care and force words together, so keeping
+	// the pair adjacent makes the common case one cache line per site
+	// instead of two. An all-zero care block means no stem fault on the
+	// site this epoch.
 	stem []uint64
-	// pins holds the per-input-pin masks of each slot, truncated to zero
-	// length when the slot is first touched in a new epoch.
+	// pins holds the per-input-pin masks of each site, truncated to zero
+	// length when the site is first touched in a new epoch.
 	pins [][]widePin
 }
 
@@ -157,21 +164,18 @@ type widePin struct {
 	care, force [MaxLaneWords]uint64
 }
 
-// NewWideLaneForces allocates a forcing table of 64*words lanes sized
-// for the flat circuit.
+// NewWideLaneForces allocates a forcing table of 64*words lanes for the
+// flat circuit. SetWords can later narrow it (and widen it back up to
+// words).
 func NewWideLaneForces(f *Flat, words int) (*WideLaneForces, error) {
 	if err := validLaneWords(words); err != nil {
 		return nil, err
 	}
-	n := f.Slots()
-	return &WideLaneForces{
-		f:     f,
-		words: words,
-		epoch: 1,
-		mark:  make([]int32, n),
-		stem:  make([]uint64, n*2*words),
-		pins:  make([][]widePin, n),
-	}, nil
+	site := make([]int32, f.Slots())
+	for i := range site {
+		site[i] = -1
+	}
+	return &WideLaneForces{f: f, words: words, stride: 2 * words, epoch: 1, site: site}, nil
 }
 
 // Lanes returns the number of bit-lanes of the table.
@@ -183,57 +187,34 @@ func (lf *WideLaneForces) Words() int { return lf.words }
 // Reset empties the table for reuse in O(1).
 func (lf *WideLaneForces) Reset() { lf.epoch++ }
 
+// SetWords empties the table and changes its lane-block width, within
+// the width it was built for: how a lot engine re-strides one table as
+// a batch compacts onto fewer words instead of keeping a table per
+// width.
+func (lf *WideLaneForces) SetWords(words int) error {
+	if err := validLaneWords(words); err != nil {
+		return err
+	}
+	if 2*words > lf.stride {
+		return fmt.Errorf("logicsim: %d-word forcing table built for %d words: %w", words, lf.stride/2, ErrLaneWords)
+	}
+	lf.words = words
+	lf.Reset()
+	return nil
+}
+
 // Add forces the fault onto one lane. On a lane already forced at the
 // same site, the new stuck value wins.
 func (lf *WideLaneForces) Add(f Injection, lane int) error {
-	if f.Gate < 0 || f.Gate >= lf.f.Slots() {
-		return fmt.Errorf("logicsim: fault site %d out of range", f.Gate)
+	si, err := lf.f.resolve(f)
+	if err != nil {
+		return err
 	}
 	if lane < 0 || lane >= lf.Lanes() {
 		return fmt.Errorf("logicsim: lane %d outside 0..%d", lane, lf.Lanes()-1)
 	}
-	slot := lf.f.slotOf[f.Gate]
-	if f.Pin >= 0 {
-		if nf := int(lf.f.faninAt[slot+1] - lf.f.faninAt[slot]); f.Pin >= nf {
-			return fmt.Errorf("logicsim: gate %d has no pin %d", f.Gate, f.Pin)
-		}
-	}
-	lf.AddResolved(SlotInjection{Slot: slot, Pin: int32(f.Pin), Stuck: f.Stuck}, lane)
+	lf.AddResolved(si, lane)
 	return nil
-}
-
-// SlotInjection is an Injection resolved to slot space: the fault site
-// as a flat slot index, with site and pin validation already done. A
-// negative Pin is an output-stem fault, as in Injection.
-// Flat.ResolveInjections produces them; AddResolved consumes them
-// without revalidating — the bulk-build path of the lot engines, which
-// rebuild forcing tables from the same fault universe every batch and
-// would otherwise pay the gate-range check and gate→slot lookup on
-// every one of those adds.
-type SlotInjection struct {
-	Slot  int32
-	Pin   int32
-	Stuck bool
-}
-
-// ResolveInjections validates a fault list and resolves it to slot
-// space in one pass, so repeated table builds over the same universe
-// can use AddResolved instead of revalidating every fault.
-func (f *Flat) ResolveInjections(faults []Injection) ([]SlotInjection, error) {
-	out := make([]SlotInjection, len(faults))
-	for i, fi := range faults {
-		if fi.Gate < 0 || fi.Gate >= f.Slots() {
-			return nil, fmt.Errorf("logicsim: fault site %d out of range", fi.Gate)
-		}
-		slot := f.slotOf[fi.Gate]
-		if fi.Pin >= 0 {
-			if nf := int(f.faninAt[slot+1] - f.faninAt[slot]); fi.Pin >= nf {
-				return nil, fmt.Errorf("logicsim: gate %d has no pin %d", fi.Gate, fi.Pin)
-			}
-		}
-		out[i] = SlotInjection{Slot: slot, Pin: int32(fi.Pin), Stuck: fi.Stuck}
-	}
-	return out, nil
 }
 
 // AddResolved forces a pre-resolved fault onto one lane. The caller
@@ -244,14 +225,17 @@ func (f *Flat) ResolveInjections(faults []Injection) ([]SlotInjection, error) {
 //
 //repolint:hotpath
 func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
-	slot := int(f.Slot)
-	base := slot * 2 * lf.words
-	if lf.mark[slot] != lf.epoch {
-		lf.mark[slot] = lf.epoch
+	si := lf.site[f.Slot]
+	if si < 0 {
+		si = lf.newSite(f.Slot)
+	}
+	base := int(si) * lf.stride
+	if lf.mark[si] != lf.epoch {
+		lf.mark[si] = lf.epoch
 		for k := 0; k < 2*lf.words; k++ {
 			lf.stem[base+k] = 0
 		}
-		lf.pins[slot] = lf.pins[slot][:0]
+		lf.pins[si] = lf.pins[si][:0]
 	}
 	word, bit := lane>>6, uint(lane&63)
 	if f.Pin < 0 {
@@ -264,8 +248,8 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 		}
 		return
 	}
-	for i := range lf.pins[slot] {
-		if pl := &lf.pins[slot][i]; pl.pin == f.Pin {
+	for i := range lf.pins[si] {
+		if pl := &lf.pins[si][i]; pl.pin == f.Pin {
 			pl.care[word] |= 1 << bit
 			if f.Stuck {
 				pl.force[word] |= 1 << bit
@@ -281,12 +265,46 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 	if f.Stuck {
 		pl.force[word] |= 1 << bit
 	}
-	lf.pins[slot] = append(lf.pins[slot], pl)
+	lf.pins[si] = append(lf.pins[si], pl)
 }
 
-// forced reports whether the slot carries forces this epoch.
-func (lf *WideLaneForces) forced(slot int) bool {
-	return lf != nil && lf.mark[slot] == lf.epoch
+// Reserve gives every site of the fault list its table entry, with room
+// for each of its distinct forced pins, and empties the table: builds
+// from the list's faults never allocate afterwards. A lot engine calls
+// it once per fault universe.
+func (lf *WideLaneForces) Reserve(faults []SlotInjection) {
+	lf.Reset()
+	for _, f := range faults {
+		lf.AddResolved(f, 0)
+	}
+	lf.Reset()
+}
+
+// newSite gives a slot its site entry, on the first fault ever added
+// there. The entry starts stale (mark 0 never equals a live epoch), so
+// the caller's first-touch clear initializes it.
+func (lf *WideLaneForces) newSite(slot int32) int32 {
+	si := int32(len(lf.mark))
+	lf.site[slot] = si
+	lf.mark = append(lf.mark, 0)
+	lf.stem = append(lf.stem, make([]uint64, lf.stride)...)
+	lf.pins = append(lf.pins, nil)
+	return si
+}
+
+// forcedSite returns the site entry of a slot carrying forces this
+// epoch, or -1.
+//
+//repolint:hotpath
+func (lf *WideLaneForces) forcedSite(slot int) int {
+	if lf == nil {
+		return -1
+	}
+	si := lf.site[slot]
+	if si < 0 || lf.mark[si] != lf.epoch {
+		return -1
+	}
+	return int(si)
 }
 
 // WideSim is the N-word walk state over a Flat: one stride-packed lane
@@ -300,12 +318,37 @@ type WideSim struct {
 }
 
 // NewWideSim allocates wide walk state of 64*words lanes for the flat
-// circuit.
+// circuit. SetWords can later narrow it (and widen it back up to
+// words).
 func NewWideSim(f *Flat, words int) (*WideSim, error) {
 	if err := validLaneWords(words); err != nil {
 		return nil, err
 	}
-	return &WideSim{f: f, words: words, val: make([]uint64, f.Slots()*words)}, nil
+	maxFanin := 0
+	for s := 0; s < f.Slots(); s++ {
+		maxFanin = max(maxFanin, int(f.faninAt[s+1]-f.faninAt[s]))
+	}
+	// The staging scratch is sized for the widest gate up front, so a
+	// walk never grows it.
+	return &WideSim{f: f, words: words, val: make([]uint64, f.Slots()*words),
+		stage: make([]uint64, maxFanin*words)}, nil
+}
+
+// SetWords changes the lane-block width, within the width the
+// simulator was built for: the value plane is re-strided in place, so
+// a lot engine compacting a batch onto fewer words keeps one value
+// plane instead of one per width. Values from earlier runs are not
+// carried over.
+func (s *WideSim) SetWords(words int) error {
+	if err := validLaneWords(words); err != nil {
+		return err
+	}
+	if n := s.f.Slots() * words; n > cap(s.val) {
+		return fmt.Errorf("logicsim: %d-word walk exceeds the width the simulator was built for: %w", words, ErrLaneWords)
+	}
+	s.words = words
+	s.val = s.val[:s.f.Slots()*words]
+	return nil
 }
 
 // Flat returns the compiled form the simulator walks.
@@ -336,7 +379,7 @@ func (s *WideSim) Broadcast(slot int, word uint64, p int) {
 
 // RunInto simulates a wide pattern block (lanes carry patterns) and
 // appends the stride-packed primary-output lane blocks to out, reusing
-// its capacity: the N-word counterpart of Simulator.RunInto.
+// its capacity: the N-word counterpart of FlatSim.RunInto.
 func (s *WideSim) RunInto(block WidePatternBlock, out []uint64) ([]uint64, error) {
 	f := s.f
 	if err := block.validate(f.numIn); err != nil {
@@ -356,8 +399,7 @@ func (s *WideSim) RunInto(block WidePatternBlock, out []uint64) ([]uint64, error
 // applies its lane masks. Lanes carrying no fault — lane 0 by engine
 // convention — compute the good circuit. Output lane blocks are
 // appended stride-packed to out (reused when capacity allows) in
-// primary-output order: the wide counterpart of
-// Simulator.RunLaneForced.
+// primary-output order.
 //
 //repolint:hotpath
 func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, out []uint64) ([]uint64, error) {
@@ -375,8 +417,8 @@ func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, o
 	for i := 0; i < f.numIn; i++ {
 		b := -(block.Inputs[i] >> uint(p) & 1)
 		o := i * w
-		if lf.forced(i) {
-			sb := i * 2 * w
+		if si := lf.forcedSite(i); si >= 0 {
+			sb := si * lf.stride
 			for k := 0; k < w; k++ {
 				s.val[o+k] = b&^lf.stem[sb+k] | lf.stem[sb+w+k]
 			}
@@ -391,8 +433,8 @@ func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, o
 }
 
 // EvalSlotsForced evaluates only the given slots, in order, with the
-// forcing table applied — the subset walk behind the pf256 engine's
-// union-cone passes. slots must be ascending (slot order is
+// forcing table applied — the subset walk behind the fault-parallel
+// engine's union-cone passes. slots must be ascending (slot order is
 // topological); values of fanins outside the subset are whatever the
 // caller staged (typically good-machine Broadcasts). Input slots inside
 // the subset are re-broadcast from the good simulator's value before
@@ -410,8 +452,8 @@ func (s *WideSim) EvalSlotsForced(good *FlatSim, p int, slots []int32, lf *WideL
 		if s.f.op[slot] == opInput {
 			b := -(good.val[slot] >> uint(p) & 1)
 			o := slot * w
-			if lf.forced(slot) {
-				sb := slot * 2 * w
+			if si := lf.forcedSite(slot); si >= 0 {
+				sb := si * lf.stride
 				for k := 0; k < w; k++ {
 					s.val[o+k] = b&^lf.stem[sb+k] | lf.stem[sb+w+k]
 				}
@@ -438,8 +480,13 @@ func (s *WideSim) appendOutputs(out []uint64) []uint64 {
 	return out
 }
 
-// errForcesShape builds RunLaneForced's shape-mismatch error outside
-// the annotated hot function, keeping fmt off the hot path.
+// errPatternRange and errForcesShape build RunLaneForced's validation
+// errors outside the annotated hot function, keeping fmt off the hot
+// path.
+func errPatternRange(p, count int) error {
+	return fmt.Errorf("logicsim: pattern %d outside block of %d", p, count)
+}
+
 func errForcesShape(words int) error {
 	return fmt.Errorf("logicsim: forcing table shape (%d words) does not match simulator", words)
 }
@@ -495,13 +542,13 @@ func (s *WideSim) evalForcedSlot(slot int, lf *WideLaneForces) {
 	w := s.words
 	o := slot * w
 	dst := s.val[o : o+w]
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
+	if si := lf.forcedSite(slot); si >= 0 {
+		if pins := lf.pins[si]; len(pins) > 0 {
 			s.evalStaged(slot, dst, pins)
 		} else {
 			s.evalSlot(slot, dst)
 		}
-		sb := slot * 2 * w
+		sb := si * lf.stride
 		for k := 0; k < w; k++ {
 			dst[k] = dst[k]&^lf.stem[sb+k] | lf.stem[sb+w+k]
 		}
@@ -611,9 +658,6 @@ func (s *WideSim) evalStaged(slot int, dst []uint64, pins []widePin) {
 	w := s.words
 	lo, hi := f.faninAt[slot], f.faninAt[slot+1]
 	n := int(hi-lo) * w
-	if cap(s.stage) < n {
-		s.stage = make([]uint64, n)
-	}
 	stage := s.stage[:n]
 	for i, fs := range f.fanin[lo:hi] {
 		copy(stage[i*w:(i+1)*w], s.val[int(fs)*w:int(fs)*w+w])

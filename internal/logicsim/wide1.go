@@ -1,7 +1,7 @@
 package logicsim
 
 // The 1-word (64-lane) specialization of the wide walk. This is the
-// width the chip-parallel engines' dead-lane compaction collapses to
+// width the chip-parallel engine's dead-lane compaction collapses to
 // once a batch's survivors fit in 64 lanes — on shallow circuits that
 // is most of every batch's lifetime — so the walk must not pay the
 // generic stride loop's per-word branch for a single word. The kernels
@@ -17,13 +17,14 @@ func (s *WideSim) block1(slot int) *uint64 {
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot1(slot int, lf *WideLaneForces) {
 	dst := s.block1(slot)
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
+	if si := lf.forcedSite(slot); si >= 0 {
+		if pins := lf.pins[si]; len(pins) > 0 {
 			s.evalStaged1(slot, dst, pins)
 		} else {
 			s.evalSlot1(slot, dst)
 		}
-		*dst = *dst&^lf.stem[2*slot] | lf.stem[2*slot+1]
+		sb := si * lf.stride
+		*dst = *dst&^lf.stem[sb] | lf.stem[sb+1]
 		return
 	}
 	s.evalSlot1(slot, dst)

@@ -2,9 +2,9 @@ package logicsim
 
 // The 4-word (256-lane) specialization of the wide walk. The generic
 // stride loops in wide.go pay a bounds check and a loop branch per
-// word; at the width the pf256 and chipparallel256 engines actually
-// run, that overhead dominates the gate function itself. Converting
-// each lane block to a *[4]uint64 (a plain slice-to-array-pointer
+// word; at the width the fault-parallel and chip-parallel engines run,
+// that overhead dominates the gate function itself. Converting each
+// lane block to a *[4]uint64 (a plain slice-to-array-pointer
 // conversion, one length check per block) lets the compiler emit
 // straight-line unchecked word ops — the moral equivalent of the
 // scalar walk's single-op gate evaluation, four words wide.
@@ -19,13 +19,13 @@ func (s *WideSim) block4(slot int) *[4]uint64 {
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot4(slot int, lf *WideLaneForces) {
 	dst := s.block4(slot)
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
+	if si := lf.forcedSite(slot); si >= 0 {
+		if pins := lf.pins[si]; len(pins) > 0 {
 			s.evalStaged4(slot, dst, pins)
 		} else {
 			s.evalSlot4(slot, dst)
 		}
-		cf := (*[8]uint64)(lf.stem[slot*8:]) // care words 0..3, force 4..7
+		cf := (*[8]uint64)(lf.stem[si*lf.stride:]) // care words 0..3, force 4..7
 		dst[0] = dst[0]&^cf[0] | cf[4]
 		dst[1] = dst[1]&^cf[1] | cf[5]
 		dst[2] = dst[2]&^cf[2] | cf[6]

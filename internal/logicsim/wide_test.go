@@ -3,6 +3,7 @@ package logicsim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -33,16 +34,12 @@ func randomMachines(c *netlist.Circuit, n int, rng *rand.Rand) [][]Injection {
 
 // TestWideRunLaneForcedMatchesRunWithFaults is the wide transpose
 // identity: lane l of one WideSim.RunLaneForced walk must equal bit p
-// of a separate RunWithFaults pass over that lane's fault set, for
-// every lane-block width — including lanes beyond 63, which only exist
-// in the wide layout.
+// of the reference simulator's pass over that lane's fault set
+// (ref_test.go), for every lane-block width — including lanes beyond
+// 63, which only exist in the wide layout.
 func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c, err := netlist.RandomCircuit("r", 9, 90, 7, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +80,9 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 		}
 		want := make([][]uint64, len(machines))
 		for m := range machines {
-			out, err := sim.RunWithFaults(block, machines[m])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[m] = append([]uint64(nil), out...)
+			want[m] = refRun(c, block, machines[m])
 		}
-		good, err := sim.Run(block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goodCopy := append([]uint64(nil), good...)
+		goodCopy := refRun(c, block, nil)
 		var out []uint64
 		for p := 0; p < block.Count; p++ {
 			out, err = ws.RunLaneForced(block, p, lf, out)
@@ -109,7 +98,7 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 				for m, lane := range lanes {
 					got := ob[lane>>6] >> uint(lane&63) & 1
 					if got != want[m][o]>>uint(p)&1 {
-						t.Fatalf("words=%d pattern %d output %d lane %d: got %d, RunWithFaults %d",
+						t.Fatalf("words=%d pattern %d output %d lane %d: got %d, reference %d",
 							words, p, o, lane, got, want[m][o]>>uint(p)&1)
 					}
 				}
@@ -119,15 +108,11 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 }
 
 // TestWideRunIntoMatchesSimulator pins the wide unforced walk to the
-// Simulator: up to 64*W patterns in one wide block produce the same
-// output bits as the 64-wide oracle, for every width.
+// reference simulator: up to 64*W patterns in one wide block produce
+// the same output bits, for every width.
 func TestWideRunIntoMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c, err := netlist.RandomCircuit("w", 8, 120, 6, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +144,12 @@ func TestWideRunIntoMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sim.Run(block)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := refRun(c, block, nil)
 			for o := range c.Outputs {
 				for p := base; p < end; p++ {
 					got := out[o*words+p>>6] >> uint(p&63) & 1
 					if got != want[o]>>uint(p-base)&1 {
-						t.Fatalf("words=%d output %d pattern %d: wide %d, simulator %d",
+						t.Fatalf("words=%d output %d pattern %d: wide %d, reference %d",
 							words, o, p, got, want[o]>>uint(p-base)&1)
 					}
 				}
@@ -176,7 +158,8 @@ func TestWideRunIntoMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestEvalSlotsForcedMatchesFullWalk pins the subset walk pf256 runs
+// TestEvalSlotsForcedMatchesFullWalk pins the subset walk the
+// fault-parallel engine runs
 // over union cones to the full forced walk: evaluating *all* slots via
 // EvalSlotsForced (inputs re-broadcast from the good machine) must
 // leave the same value plane as RunLaneForced.
@@ -250,10 +233,6 @@ func TestWideLaneForcesLastValueWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g22, _ := c.GateByName("22")
 	block, err := PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
 	if err != nil {
@@ -268,7 +247,7 @@ func TestWideLaneForcesLastValueWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both polarities on one lane: the second Add wins, same as a chip's
-	// ordered fault list under RunWithFaults.
+	// ordered fault list under the reference simulator.
 	const lane = 200
 	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: true}, lane); err != nil {
 		t.Fatal(err)
@@ -276,13 +255,10 @@ func TestWideLaneForcesLastValueWins(t *testing.T) {
 	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: false}, lane); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunWithFaults(block, []Injection{
+	want := refRun(c, block, []Injection{
 		{Gate: g22, Pin: -1, Stuck: true},
 		{Gate: g22, Pin: -1, Stuck: false},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for p := 0; p < block.Count; p++ {
 		out, err := ws.RunLaneForced(block, p, lf, nil)
 		if err != nil {
@@ -298,7 +274,8 @@ func TestWideLaneForcesLastValueWins(t *testing.T) {
 }
 
 // TestWideRunLaneForcedZeroAllocs pins the steady-state wide walk —
-// the chipparallel256 inner loop — to zero allocations per pattern.
+// the chip-parallel lot engine's inner loop — to zero allocations per
+// pattern.
 func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 	c, err := netlist.RandomCircuit("a", 10, 200, 5, 7)
 	if err != nil {
@@ -394,14 +371,7 @@ func TestWidenBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refRun(c, b, nil)
 	for _, words := range []int{1, 3, 8} {
 		wb, err := WidenBlock(b, words)
 		if err != nil {
@@ -431,8 +401,8 @@ func TestWidenBlock(t *testing.T) {
 		}
 		mask := b.Mask()
 		for o := range want {
-			if out[o*words]&mask != want[o]&mask {
-				t.Fatalf("words=%d output %d: widened %x, simulator %x", words, o, out[o*words]&mask, want[o]&mask)
+			if out[o*words]&mask != want[o] {
+				t.Fatalf("words=%d output %d: widened %x, reference %x", words, o, out[o*words]&mask, want[o])
 			}
 		}
 	}
@@ -482,6 +452,79 @@ func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	}
 	if err := lf.Add(Injection{Gate: 0, Pin: -1, Stuck: true}, 63); err != nil {
 		t.Errorf("in-range lane rejected after Reset: %v", err)
+	}
+}
+
+// TestWideSetWordsReStrides checks the compaction path of the lot
+// engine: one simulator and one forcing table built at 4 words,
+// re-strided down and back up, walk exactly like fresh ones of each
+// width, and neither accepts a width beyond the one it was built for.
+func TestWideSetWordsReStrides(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	c, err := netlist.RandomCircuit("s", 9, 90, 7, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := PackPatterns(randomPatterns(c, 9, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := NewWideSim(f, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := NewWideLaneForces(f, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, words := range []int{4, 1, 2, 1, 4} {
+		if err := ws.SetWords(words); err != nil {
+			t.Fatal(err)
+		}
+		if err := lf.SetWords(words); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewWideSim(f, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshLf, err := NewWideLaneForces(f, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, machine := range randomMachines(c, 64*words-1, rng) {
+			for _, inj := range machine {
+				if err := lf.Add(inj, m+1); err != nil {
+					t.Fatal(err)
+				}
+				if err := freshLf.Add(inj, m+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for p := 0; p < block.Count; p++ {
+			got, err := ws.RunLaneForced(block, p, lf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.RunLaneForced(block, p, freshLf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("words=%d pattern %d: re-strided walk differs from a fresh one", words, p)
+			}
+		}
+	}
+	if err := ws.SetWords(5); !errors.Is(err, ErrLaneWords) {
+		t.Errorf("WideSim.SetWords past the built width: %v, want ErrLaneWords", err)
+	}
+	if err := lf.SetWords(5); !errors.Is(err, ErrLaneWords) {
+		t.Errorf("WideLaneForces.SetWords past the built width: %v, want ErrLaneWords", err)
 	}
 }
 

@@ -396,8 +396,8 @@ func (s *Sweeper) runTasks(pending []int, handle func(task int, sum campaign.Sum
 		go func() {
 			defer wg.Done()
 			// One ATE per (worker, workload), built on first use,
-			// amortizes the good-machine pre-simulation across the
-			// worker's replicates of that circuit.
+			// amortizes the ATE's compiled circuit and lane state across
+			// the worker's replicates of that circuit.
 			ates := make([]*tester.ATE, len(s.workloads))
 			for t := range tasks {
 				if failed.Load() || interrupted.Load() {

@@ -24,8 +24,14 @@ func TestParseLotEngine(t *testing.T) {
 			t.Errorf("%v not Known", e)
 		}
 	}
-	if _, err := ParseLotEngine("warp"); err == nil {
-		t.Error("unknown name should error")
+	// Retired engine names get the unknown-engine error too.
+	for _, name := range []string{"warp", "chipparallel256"} {
+		if _, err := ParseLotEngine(name); err == nil {
+			t.Errorf("unknown name %q should error", name)
+		}
+	}
+	if n := len(LotEngines()); n != 2 {
+		t.Errorf("%d lot engines registered, want 2", n)
 	}
 	if LotEngine(99).Known() {
 		t.Error("bogus engine Known")
@@ -238,11 +244,8 @@ func TestConcurrentATEsShareCircuit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			e := ChipParallel
-			switch w % 3 {
-			case 1:
+			if w%2 == 1 {
 				e = Serial
-			case 2:
-				e = ChipParallel256
 			}
 			a, err := NewEngine(c, patterns, e)
 			if err != nil {

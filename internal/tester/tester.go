@@ -6,14 +6,12 @@
 // cumulative-coverage ramp, give the fallout curve from which n0 is
 // estimated.
 //
-// Three lot engines share one result contract (identical FirstFail, bit
-// for bit): Serial tests one chip at a time — the oracle —
-// ChipParallel, the default, packs the good machine plus up to 63
-// defective chips into the 64 bit-lanes of one word and evaluates them
-// in a single circuit walk per pattern (see chipparallel.go), and
-// ChipParallel256 widens that layout to 4-word lane blocks (255 chips
-// per walk) over the flat struct-of-arrays core (see
-// chipparallel256.go).
+// Two lot engines share one result contract (identical FirstFail, bit
+// for bit), both on the flat struct-of-arrays core: Serial tests one
+// chip at a time — the oracle — and ChipParallel, the default, packs
+// the good machine plus up to 255 defective chips into the lanes of a
+// 4-word lane block and evaluates them in a single circuit walk per
+// pattern (see chipparallel.go).
 package tester
 
 import (
@@ -42,14 +40,12 @@ type LotEngine int
 const (
 	ChipParallel LotEngine = iota
 	Serial
-	ChipParallel256
 )
 
 // lotEngineNames maps each engine to its CLI-stable name.
 var lotEngineNames = map[LotEngine]string{
-	ChipParallel:    "chip-parallel",
-	Serial:          "serial",
-	ChipParallel256: "chipparallel256",
+	ChipParallel: "chip-parallel",
+	Serial:       "serial",
 }
 
 // String names the lot engine.
@@ -91,26 +87,33 @@ func LotEngines() []LotEngine {
 // ATE tests chips against a fixed circuit and ordered pattern set.
 type ATE struct {
 	c        *netlist.Circuit
+	flat     *logicsim.Flat // compiled per ATE, so it dies with the ATE
 	patterns []logicsim.Pattern
 	blocks   []logicsim.PatternBlock
-	good     [][]uint64 // good-machine outputs per block
-	sim      *logicsim.Simulator
 	engine   LotEngine
 
-	// Universe→Injection conversion cache: campaigns share one fault
-	// universe across thousands of lots, so the conversion is keyed by
-	// slice identity and done once per ATE (see injectionsFor).
-	univKey *fault.Fault
-	univLen int
-	univInj []logicsim.Injection
+	// Fault-universe cache: campaigns share one fault universe across
+	// thousands of lots, so its conversion to injectable form (and, for
+	// chip-parallel, its resolution to slot space) is keyed by slice
+	// identity and done once per ATE (see injectionsFor).
+	univKey   *fault.Fault
+	univLen   int
+	univ      []logicsim.Injection
+	univSlots []logicsim.SlotInjection // nil until resolvedUniverse runs
 
-	pp    *chipParallelState    // lazily built chip-parallel scratch
-	pp256 *chipParallel256State // lazily built chipparallel256 scratch
-	tcOut []uint64              // TestChip/TestChipSteps output scratch
+	pp     *chipParallelState // lazily built chip-parallel scratch
+	serial *serialState       // lazily built serial-oracle scratch
 }
 
-// New builds an ATE with the default (chip-parallel) lot engine,
-// pre-simulating the good machine once.
+// serialState is the serial oracle's scratch: a 64-lane flat walk and
+// the good machine's outputs per block, simulated on first use.
+type serialState struct {
+	sim  *logicsim.FlatSim
+	good [][]uint64
+	out  []uint64
+}
+
+// New builds an ATE with the default (chip-parallel) lot engine.
 func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
 	return NewEngine(c, patterns, ChipParallel)
 }
@@ -123,26 +126,17 @@ func NewEngine(c *netlist.Circuit, patterns []logicsim.Pattern, engine LotEngine
 	if !engine.Known() {
 		return nil, fmt.Errorf("tester: unknown lot engine %v", engine)
 	}
-	sim, err := logicsim.NewSimulator(c)
+	flat, err := logicsim.NewFlat(c)
 	if err != nil {
 		return nil, err
 	}
-	a := &ATE{c: c, patterns: patterns, sim: sim, engine: engine}
+	a := &ATE{c: c, flat: flat, patterns: patterns, engine: engine}
 	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		block, err := logicsim.PackPatterns(patterns[base:end])
-		if err != nil {
-			return nil, err
-		}
-		good, err := sim.Run(block)
+		block, err := logicsim.PackPatterns(patterns[base:min(base+64, len(patterns))])
 		if err != nil {
 			return nil, err
 		}
 		a.blocks = append(a.blocks, block)
-		a.good = append(a.good, append([]uint64(nil), good...))
 	}
 	return a, nil
 }
@@ -157,6 +151,47 @@ func (a *ATE) SetEngine(e LotEngine) { a.engine = e }
 // Patterns returns the number of patterns the ATE applies.
 func (a *ATE) Patterns() int { return len(a.patterns) }
 
+// serialOracle returns the serial engine's scratch, simulating the good
+// machine on first use.
+func (a *ATE) serialOracle() (*serialState, error) {
+	if a.serial == nil {
+		st := &serialState{sim: logicsim.NewFlatSim(a.flat)}
+		for _, block := range a.blocks {
+			good, err := st.sim.RunInto(block, nil)
+			if err != nil {
+				return nil, err
+			}
+			st.good = append(st.good, good)
+		}
+		a.serial = st
+	}
+	return a.serial, nil
+}
+
+// chipDiffs runs the chip's multi-fault machine over the blocks in
+// order, handing visit each block's faulty and good output words and
+// valid-pattern mask, and stops at the first block visit reports as
+// failing.
+func (a *ATE) chipDiffs(chip defect.Chip, universe []logicsim.Injection, visit func(bi int, bad, good []uint64, mask uint64) bool) error {
+	st, err := a.serialOracle()
+	if err != nil {
+		return err
+	}
+	inj, err := a.injections(chip, universe)
+	if err != nil {
+		return err
+	}
+	for bi, block := range a.blocks {
+		if st.out, err = st.sim.RunWithFaultsInto(block, inj, st.out); err != nil {
+			return err
+		}
+		if visit(bi, st.out, st.good[bi], block.Mask()) {
+			return nil
+		}
+	}
+	return nil
+}
+
 // TestChip returns the index of the first pattern the chip fails, or
 // NeverFails. The chip's faults are injected simultaneously (a multi-
 // fault machine), which is what physical testing actually observes.
@@ -164,25 +199,18 @@ func (a *ATE) TestChip(chip defect.Chip, universe []logicsim.Injection) (int, er
 	if !chip.Defective() {
 		return NeverFails, nil
 	}
-	inj, err := a.injections(chip, universe)
-	if err != nil {
-		return 0, err
-	}
-	for bi, block := range a.blocks {
-		bad, err := a.sim.RunWithFaultsInto(block, inj, a.tcOut)
-		if err != nil {
-			return 0, err
-		}
-		a.tcOut = bad
+	first := NeverFails
+	err := a.chipDiffs(chip, universe, func(bi int, bad, good []uint64, mask uint64) bool {
 		var diff uint64
 		for o := range bad {
-			diff |= (bad[o] ^ a.good[bi][o]) & block.Mask()
+			diff |= (bad[o] ^ good[o]) & mask
 		}
 		if diff != 0 {
-			return bi*64 + bits.TrailingZeros64(diff), nil
+			first = bi*64 + bits.TrailingZeros64(diff)
 		}
-	}
-	return NeverFails, nil
+		return diff != 0
+	})
+	return first, err
 }
 
 // TestChipSteps returns the first failing *strobe* (pattern × output)
@@ -193,34 +221,22 @@ func (a *ATE) TestChipSteps(chip defect.Chip, universe []logicsim.Injection) (in
 	if !chip.Defective() {
 		return NeverFails, nil
 	}
-	inj, err := a.injections(chip, universe)
-	if err != nil {
-		return 0, err
-	}
 	nOut := len(a.c.Outputs)
-	for bi, block := range a.blocks {
-		bad, err := a.sim.RunWithFaultsInto(block, inj, a.tcOut)
-		if err != nil {
-			return 0, err
-		}
-		a.tcOut = bad
-		best := -1
+	first := NeverFails
+	err := a.chipDiffs(chip, universe, func(bi int, bad, good []uint64, mask uint64) bool {
 		for o := range bad {
-			diff := (bad[o] ^ a.good[bi][o]) & block.Mask()
+			diff := (bad[o] ^ good[o]) & mask
 			if diff == 0 {
 				continue
 			}
-			p := bi*64 + bits.TrailingZeros64(diff)
-			step := p*nOut + o
-			if best < 0 || step < best {
-				best = step
+			step := (bi*64+bits.TrailingZeros64(diff))*nOut + o
+			if first == NeverFails || step < first {
+				first = step
 			}
 		}
-		if best >= 0 {
-			return best, nil
-		}
-	}
-	return NeverFails, nil
+		return first != NeverFails
+	})
+	return first, err
 }
 
 // injections maps a chip's fault indices into injectable faults.
@@ -228,31 +244,50 @@ func (a *ATE) injections(chip defect.Chip, universe []logicsim.Injection) ([]log
 	inj := make([]logicsim.Injection, len(chip.Faults))
 	for i, fi := range chip.Faults {
 		if fi < 0 || fi >= len(universe) {
-			return nil, fmt.Errorf("tester: chip fault index %d out of universe", fi)
+			return nil, errChipFault(fi)
 		}
 		inj[i] = universe[fi]
 	}
 	return inj, nil
 }
 
-// injectionsFor converts a lot's fault universe to injectable form,
-// cached by slice identity: campaigns share one universe (from a
-// circuits.Prepared) across thousands of lots, so per-lot reconversion
-// was pure waste. A different universe (or a same-length reallocation)
-// misses and reconverts.
-func (a *ATE) injectionsFor(universe []fault.Fault) []logicsim.Injection {
-	if len(universe) == 0 {
-		return nil
-	}
-	if a.univKey == &universe[0] && a.univLen == len(universe) {
-		return a.univInj
-	}
+// injectionsOf converts a fault universe to injectable form.
+func injectionsOf(universe []fault.Fault) []logicsim.Injection {
 	inj := make([]logicsim.Injection, len(universe))
 	for i, f := range universe {
 		inj[i] = logicsim.Injection{Gate: f.Gate, Pin: f.Pin, Stuck: f.Stuck}
 	}
-	a.univKey, a.univLen, a.univInj = &universe[0], len(universe), inj
 	return inj
+}
+
+// injectionsFor converts a lot's fault universe to injectable form,
+// cached by slice identity: campaigns share one universe (from a
+// circuits.Prepared) across thousands of lots, so per-lot conversion
+// was pure waste. A different universe (or a same-length reallocation)
+// misses and converts again.
+func (a *ATE) injectionsFor(universe []fault.Fault) []logicsim.Injection {
+	if len(universe) == 0 {
+		return nil
+	}
+	if a.univKey != &universe[0] || a.univLen != len(universe) {
+		a.univKey, a.univLen = &universe[0], len(universe)
+		a.univ, a.univSlots = injectionsOf(universe), nil
+	}
+	return a.univ
+}
+
+// resolvedUniverse is injectionsFor resolved to slot space, under the
+// same cache. fresh reports a resolution done by this call, i.e. a
+// universe the caller has not seen yet.
+func (a *ATE) resolvedUniverse(universe []fault.Fault) (slots []logicsim.SlotInjection, fresh bool, err error) {
+	inj := a.injectionsFor(universe)
+	if a.univSlots == nil && len(inj) > 0 {
+		if a.univSlots, err = a.flat.ResolveInjections(inj); err != nil {
+			return nil, false, err
+		}
+		fresh = true
+	}
+	return a.univSlots, fresh, nil
 }
 
 // LotResult is the record the paper's experiment produces.
@@ -287,16 +322,13 @@ func (a *ATE) TestLotSteps(lot defect.Lot) (LotResult, error) {
 // testLot runs the configured lot engine and folds the per-chip
 // first-fail record into the lot statistics.
 func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
-	universe := a.injectionsFor(lot.Universe)
 	var ff []int
 	var err error
 	switch a.engine {
 	case Serial:
-		ff, err = a.serialFirstFail(lot, universe, steps)
+		ff, err = a.serialFirstFail(lot, steps)
 	case ChipParallel:
-		ff, err = a.chipParallelFirstFail(lot, universe, steps)
-	case ChipParallel256:
-		ff, err = a.chipParallel256FirstFail(lot, universe, steps)
+		ff, err = a.chipParallelFirstFail(lot, steps)
 	default:
 		err = fmt.Errorf("tester: unknown lot engine %v", a.engine)
 	}
@@ -324,7 +356,8 @@ func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
 
 // serialFirstFail is the oracle engine: one chip at a time through
 // TestChip/TestChipSteps.
-func (a *ATE) serialFirstFail(lot defect.Lot, universe []logicsim.Injection, steps bool) ([]int, error) {
+func (a *ATE) serialFirstFail(lot defect.Lot, steps bool) ([]int, error) {
+	universe := a.injectionsFor(lot.Universe)
 	test := (*ATE).TestChip
 	if steps {
 		test = (*ATE).TestChipSteps
