@@ -343,7 +343,10 @@ func BenchmarkYieldN0Study(b *testing.B) {
 // collapsing, production ATPG, strobe-granular coverage ramp), "cached"
 // is the hit path a campaign's lots, replicates, and workers actually
 // take. The ratio is the per-circuit cost the multi-workload sweep
-// pays exactly once.
+// pays exactly once. "cold-lsi1k-sampled" is the cold preparation at
+// LSI scale (the lsi-smoke knobs: 48 random patterns, 150 sampled
+// fault classes, backtrack limit 50), where PODEM and the fault-site
+// cones — which barely register on mul5 — dominate.
 func BenchmarkPrepared(b *testing.B) {
 	params := circuits.Params{RandomPatterns: 64, Seed: 1981}
 	const spec = "mul5"
@@ -351,6 +354,15 @@ func BenchmarkPrepared(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// A fresh cache each iteration forces the build.
 			if _, err := circuits.NewCache().Get(spec, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold-lsi1k-sampled", func(b *testing.B) {
+		lsi := circuits.Params{RandomPatterns: 48, SampleFaults: 150, BacktrackLimit: 50, Seed: 1981}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := circuits.NewCache().Get("lsi1k", lsi); err != nil {
 				b.Fatal(err)
 			}
 		}

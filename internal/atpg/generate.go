@@ -34,6 +34,7 @@ func GenerateAll(c *netlist.Circuit) (RunResult, error) {
 		return RunResult{}, err
 	}
 	detected := make([]bool, len(reps))
+	live := newLiveList(reps, detected)
 	res := RunResult{Faults: len(reps)}
 	for fi, f := range reps {
 		if detected[fi] {
@@ -50,24 +51,11 @@ func GenerateAll(c *netlist.Circuit) (RunResult, error) {
 		}
 		res.Patterns = append(res.Patterns, pattern)
 		// Drop everything this pattern detects.
-		var remaining []fault.Fault
-		var remainingIdx []int
-		for ri, rf := range reps {
-			if !detected[ri] {
-				remaining = append(remaining, rf)
-				remainingIdx = append(remainingIdx, ri)
-			}
-		}
-		sim, err := faultsim.Run(c, remaining, []logicsim.Pattern{pattern}, faultsim.PPSFP)
+		n, err := live.drop(c, pattern, detected, faultsim.PPSFP, faultsim.Options{})
 		if err != nil {
 			return RunResult{}, err
 		}
-		for ri, d := range sim.FirstDetect {
-			if d != faultsim.NotDetected {
-				detected[remainingIdx[ri]] = true
-				res.Detected++
-			}
-		}
+		res.Detected += n
 		if !detected[fi] {
 			// The generated pattern must detect its target; a miss means
 			// the generator and simulator disagree.
@@ -192,6 +180,7 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 		return nil, Tally{}, err
 	}
 	gen.BacktrackLimit = backtrackLimit
+	live := newLiveList(reps, detected)
 	// Aborts are provisional: a fault abandoned at its own budget may
 	// still fall to a later fault's pattern during dropping, so the
 	// abort bucket is settled only after the loop, over the faults that
@@ -212,22 +201,8 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 			continue
 		}
 		patterns = append(patterns, pattern)
-		var remaining []fault.Fault
-		var idx []int
-		for ri := range reps {
-			if !detected[ri] {
-				remaining = append(remaining, reps[ri])
-				idx = append(idx, ri)
-			}
-		}
-		one, err := faultsim.RunOpts(c, remaining, []logicsim.Pattern{pattern}, engine, opt)
-		if err != nil {
+		if _, err := live.drop(c, pattern, detected, engine, opt); err != nil {
 			return nil, Tally{}, err
-		}
-		for ri, d := range one.FirstDetect {
-			if d != faultsim.NotDetected {
-				detected[idx[ri]] = true
-			}
 		}
 	}
 	for fi, d := range detected {
@@ -239,4 +214,47 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 		}
 	}
 	return patterns, tally, nil
+}
+
+// liveList is the fault-dropping loop's list of still-undetected
+// faults, in fault-list order, beside their indices into that list. It
+// is compacted in place as patterns detect faults, so each dropping
+// pass costs what is still alive rather than the whole list.
+type liveList struct {
+	faults []fault.Fault
+	idx    []int
+}
+
+// newLiveList collects the faults not yet marked detected.
+func newLiveList(reps []fault.Fault, detected []bool) *liveList {
+	l := &liveList{}
+	for fi, f := range reps {
+		if !detected[fi] {
+			l.faults = append(l.faults, f)
+			l.idx = append(l.idx, fi)
+		}
+	}
+	return l
+}
+
+// drop fault-simulates one pattern against the live faults, marks the
+// ones it detects in detected, removes them from the list (keeping the
+// survivors' order), and returns how many it dropped.
+func (l *liveList) drop(c *netlist.Circuit, pattern logicsim.Pattern, detected []bool, engine faultsim.Engine, opt faultsim.Options) (int, error) {
+	res, err := faultsim.RunOpts(c, l.faults, []logicsim.Pattern{pattern}, engine, opt)
+	if err != nil {
+		return 0, err
+	}
+	k := 0
+	for ri, d := range res.FirstDetect {
+		if d != faultsim.NotDetected {
+			detected[l.idx[ri]] = true
+			continue
+		}
+		l.faults[k], l.idx[k] = l.faults[ri], l.idx[ri]
+		k++
+	}
+	dropped := len(l.faults) - k
+	l.faults, l.idx = l.faults[:k], l.idx[:k]
+	return dropped, nil
 }

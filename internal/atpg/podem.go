@@ -2,6 +2,8 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -38,32 +40,110 @@ func (s Status) String() string {
 }
 
 // Podem is a deterministic single-stuck-at test generator implementing
-// the PODEM algorithm: branch-and-bound over primary-input assignments
-// with a pair (good, faulty) three-valued simulation for implication.
+// the PODEM algorithm (Goel, 1981): branch-and-bound over primary-input
+// assignments with a pair (good, faulty) of three-valued machines for
+// implication.
+//
+// Implication is event-driven on the flat core. Both machines share
+// one slot-indexed plane of logicsim.TritPair values, evaluated
+// together; a decision or a backtrack changes a few primary inputs,
+// and only the slots those changes reach are re-evaluated, in
+// ascending slot order (slot order is topological, so a bitset sweep
+// is the event queue). The faulty machine differs from the good one
+// only inside the fault site's fanout cone, so the D-frontier and
+// fault-effect searches scan the cone alone. The plane is a pure
+// function of the input assignment, so every decision — and hence
+// every pattern and status — is the one full re-simulation per step
+// would make; the atpg tests pin this against such a reference.
+//
+// A Podem is reusable across faults (state is reset per Generate) but
+// not safe for concurrent use.
 type Podem struct {
-	c     *netlist.Circuit
-	order []int
+	c    *netlist.Circuit
+	flat *logicsim.Flat
 	// BacktrackLimit bounds the search; 0 means the default (10000).
 	BacktrackLimit int
 
-	good []logicsim.Trit
-	bad  []logicsim.Trit
-	pi   []logicsim.Trit // current PI assignment
+	// Static per-slot tables.
+	foAt, fo []int32             // slot-space fanout (see Flat.Fanout)
+	want     []logicsim.Trit     // value an X input of a frontier gate is driven to
+	inv      []bool              // the gate inverts its combined input
+	isPO     []bool              // the slot drives a primary output
+	allX     []logicsim.TritPair // plane with every primary input at X
+
+	// Implication state: the two-machine plane and the input
+	// assignment (primary input i is slot i). dirty lists the inputs
+	// assigned since the last imply; pending is the event bitset over
+	// slots.
+	val     []logicsim.TritPair
+	pi      []logicsim.Trit
+	dirty   []int32
+	pending []uint64
+
+	// The target fault: its site slot, pin (-1 for the stem), stuck
+	// value and site gate type; line is the slot whose good value
+	// activates it; cone is the site's fanout cone (ascending) and
+	// coneOuts its primary outputs.
+	site     int32
+	pin      int
+	stuck    logicsim.Trit
+	siteType netlist.GateType
+	line     int32
+	cone     []int32
+	coneOuts []int32
+
+	// Search scratch: the D-frontier of the last scan, the frontier
+	// gate the objective advances (-1: none), the x-path visit marks
+	// and stack (seen also marks the cone while it is collected), the
+	// decision stack, and the site's faulty-fanin staging.
+	frontier  []int32
+	objGate   int32
+	seen      []uint32
+	seenEpoch uint32
+	stack     []int32
+	decisions []decision
+	in        []logicsim.Trit
 }
 
 // NewPodem prepares a generator for the circuit.
 func NewPodem(c *netlist.Circuit) (*Podem, error) {
-	order, err := c.Order()
+	flat, err := logicsim.FlatFor(c)
 	if err != nil {
 		return nil, err
 	}
-	return &Podem{
-		c:     c,
-		order: order,
-		good:  make([]logicsim.Trit, len(c.Gates)),
-		bad:   make([]logicsim.Trit, len(c.Gates)),
-		pi:    make([]logicsim.Trit, len(c.Inputs)),
-	}, nil
+	n := flat.Slots()
+	foAt, fo := flat.Fanout()
+	p := &Podem{
+		c:       c,
+		flat:    flat,
+		foAt:    foAt,
+		fo:      fo,
+		want:    make([]logicsim.Trit, n),
+		inv:     make([]bool, n),
+		isPO:    make([]bool, n),
+		allX:    make([]logicsim.TritPair, n),
+		val:     make([]logicsim.TritPair, n),
+		pi:      make([]logicsim.Trit, flat.NumInputs()),
+		pending: make([]uint64, (n+63)/64),
+		seen:    make([]uint32, n),
+	}
+	for slot := 0; slot < n; slot++ {
+		t := c.Gates[flat.GateAt(slot)].Type
+		p.inv[slot] = inverts(t)
+		p.want[slot] = logicsim.T
+		if ctrl, has := controlling(t); has {
+			p.want[slot] = logicsim.NotT(ctrl)
+		}
+		if slot < flat.NumInputs() {
+			p.allX[slot] = logicsim.PairOf(logicsim.X, logicsim.X)
+		} else {
+			p.allX[slot] = flat.EvalPair(slot, p.allX)
+		}
+	}
+	for oi := range c.Outputs {
+		p.isPO[flat.OutputSlot(oi)] = true
+	}
+	return p, nil
 }
 
 // stuckTrit converts a stuck value to a Trit.
@@ -74,126 +154,233 @@ func stuckTrit(stuck bool) logicsim.Trit {
 	return logicsim.F
 }
 
-// imply simulates both machines under the current PI assignment with
-// fault f injected in the faulty copy.
-func (p *Podem) imply(f fault.Fault) {
-	for i, id := range p.c.Inputs {
-		p.good[id] = p.pi[i]
-		p.bad[id] = p.pi[i]
+// nextEpoch advances an epoch counter for a mark array, clearing the
+// marks when the counter wraps so a stale mark can never match.
+func nextEpoch(epoch *uint32, marks []uint32) uint32 {
+	*epoch++
+	if *epoch == 0 {
+		clear(marks)
+		*epoch = 1
 	}
-	var buf [8]logicsim.Trit
-	for _, id := range p.order {
-		g := &p.c.Gates[id]
-		if g.Type != netlist.Input {
-			in := buf[:0]
-			for _, fi := range g.Fanin {
-				in = append(in, p.good[fi])
+	return *epoch
+}
+
+// target resets the generator for fault f: every input back to X, the
+// site's cone collected, and the plane implied from scratch — the
+// all-X plane, re-evaluated inside the cone where the faulty machine
+// departs from it.
+func (p *Podem) target(f fault.Fault) {
+	p.site = int32(p.flat.SlotOf(f.Gate))
+	p.pin = f.Pin
+	p.stuck = stuckTrit(f.Stuck)
+	p.siteType = p.c.Gates[f.Gate].Type
+	p.line = p.site
+	if f.Pin >= 0 {
+		p.line = p.flat.FaninSlots(int(p.site))[f.Pin]
+	}
+	epoch := nextEpoch(&p.seenEpoch, p.seen)
+	p.cone = append(p.cone[:0], p.site)
+	p.seen[p.site] = epoch
+	for i := 0; i < len(p.cone); i++ {
+		s := p.cone[i]
+		for _, fo := range p.fo[p.foAt[s]:p.foAt[s+1]] {
+			if p.seen[fo] != epoch {
+				p.seen[fo] = epoch
+				p.cone = append(p.cone, fo)
 			}
-			p.good[id] = logicsim.EvalT(g.Type, in)
-			in = buf[:0]
-			for pin, fi := range g.Fanin {
-				v := p.bad[fi]
-				if f.Pin >= 0 && f.Gate == id && pin == f.Pin {
-					v = stuckTrit(f.Stuck)
-				}
-				in = append(in, v)
-			}
-			p.bad[id] = logicsim.EvalT(g.Type, in)
 		}
-		if f.Pin < 0 && f.Gate == id {
-			p.bad[id] = stuckTrit(f.Stuck)
+	}
+	slices.Sort(p.cone)
+	p.coneOuts = p.coneOuts[:0]
+	for i := range p.pi {
+		p.pi[i] = logicsim.X
+	}
+	p.dirty = p.dirty[:0]
+	copy(p.val, p.allX)
+	for _, s := range p.cone {
+		p.val[s] = p.eval(s)
+		if p.isPO[s] {
+			p.coneOuts = append(p.coneOuts, s)
 		}
 	}
 }
 
-// effectAt reports whether gate id carries a fault effect: both copies
+// eval evaluates a logic slot in both machines. At the fault site the
+// faulty machine takes the stuck value (stem fault) or is evaluated
+// with the faulted pin forced (branch fault).
+func (p *Podem) eval(s int32) logicsim.TritPair {
+	v := p.flat.EvalPair(int(s), p.val)
+	if s != p.site {
+		return v
+	}
+	if p.pin < 0 {
+		return v.WithBad(p.stuck)
+	}
+	in := p.in[:0]
+	for k, fi := range p.flat.FaninSlots(int(s)) {
+		b := p.val[fi].Bad()
+		if k == p.pin {
+			b = p.stuck
+		}
+		in = append(in, b)
+	}
+	p.in = in
+	return v.WithBad(logicsim.EvalT(p.siteType, in))
+}
+
+// assign sets primary input i and queues it for the next imply.
+func (p *Podem) assign(i int, v logicsim.Trit) {
+	p.pi[i] = v
+	p.dirty = append(p.dirty, int32(i))
+}
+
+// schedule queues every reader of slot s for re-evaluation.
+func (p *Podem) schedule(s int32) {
+	for _, fo := range p.fo[p.foAt[s]:p.foAt[s+1]] {
+		p.pending[fo>>6] |= 1 << uint(fo&63)
+	}
+}
+
+// imply brings both machines up to date with the inputs assigned since
+// the last call: the changed inputs seed events, and every slot whose
+// fanin changed is re-evaluated once, in ascending slot order, queueing
+// its own readers only if its value changed. Readers always sit at
+// higher slots, so one forward sweep of the bitset drains it.
+func (p *Podem) imply() {
+	for _, i := range p.dirty {
+		v := logicsim.PairOf(p.pi[i], p.pi[i])
+		if i == p.site {
+			v = v.WithBad(p.stuck) // a stem fault on the input
+		}
+		if p.val[i] != v {
+			p.val[i] = v
+			p.schedule(i)
+		}
+	}
+	p.dirty = p.dirty[:0]
+	for w := range p.pending {
+		for p.pending[w] != 0 {
+			b := bits.TrailingZeros64(p.pending[w])
+			p.pending[w] &^= 1 << uint(b)
+			s := int32(w<<6 | b)
+			if v := p.eval(s); v != p.val[s] {
+				p.val[s] = v
+				p.schedule(s)
+			}
+		}
+	}
+}
+
+// good returns slot s's value in the good machine.
+func (p *Podem) good(s int32) logicsim.Trit { return p.val[s].Good() }
+
+// effectAt reports whether slot s carries a fault effect: both copies
 // binary and different.
-func (p *Podem) effectAt(id int) bool {
-	return p.good[id] != logicsim.X && p.bad[id] != logicsim.X && p.good[id] != p.bad[id]
+func (p *Podem) effectAt(s int32) bool {
+	g, b := p.val[s].Good(), p.val[s].Bad()
+	return g != logicsim.X && b != logicsim.X && g != b
 }
 
-// detected reports whether any primary output shows the effect.
+// detected reports whether any primary output shows the effect (only
+// outputs in the site's cone can).
 func (p *Podem) detected() bool {
-	for _, o := range p.c.Outputs {
-		if p.effectAt(o) {
+	for _, s := range p.coneOuts {
+		if p.effectAt(s) {
 			return true
 		}
 	}
 	return false
 }
 
-// faultLine returns the gate whose value activates the fault: the gate
-// itself for a stem fault, the driver for a branch fault.
-func faultLine(c *netlist.Circuit, f fault.Fault) int {
-	if f.Pin < 0 {
-		return f.Gate
-	}
-	return c.Gates[f.Gate].Fanin[f.Pin]
-}
-
 // branchActivated reports whether a branch fault's effect is present at
 // its pin: the driving line is binary and differs from the stuck value.
-func (p *Podem) branchActivated(f fault.Fault) bool {
-	if f.Pin < 0 {
+func (p *Podem) branchActivated() bool {
+	if p.pin < 0 {
 		return false
 	}
-	drv := p.c.Gates[f.Gate].Fanin[f.Pin]
-	return p.good[drv] != logicsim.X && p.good[drv] != stuckTrit(f.Stuck)
+	v := p.good(p.line)
+	return v != logicsim.X && v != p.stuck
 }
 
-// dFrontier returns gates with at least one fault-effect input and an
-// output still unknown in either copy. For a branch fault, the faulted
-// gate itself joins the frontier once the fault is activated, because
-// the effect lives on the pin, which is invisible to gate-level values.
-func (p *Podem) dFrontier(f fault.Fault) []int {
-	var out []int
-	for id := range p.c.Gates {
-		g := &p.c.Gates[id]
-		if g.Type == netlist.Input {
+// scanFrontier collects the D-frontier — gates with at least one
+// fault-effect input and an output still unknown in either copy — into
+// p.frontier, and reports whether any slot carries the fault effect.
+// For a branch fault, the faulted gate itself joins the frontier once
+// the fault is activated, because the effect lives on the pin, which
+// is invisible to slot values. Effects and frontier gates exist only
+// inside the site's cone, so the scan covers the cone alone. It also
+// picks the gate the objective advances: the frontier gate with the
+// lowest gate ID among those with an input still X in the good
+// machine (gate-ID order, not slot order, is the search's tie-break).
+func (p *Podem) scanFrontier() bool {
+	p.frontier = p.frontier[:0]
+	p.objGate = -1
+	objID := -1
+	effect := false
+	branch := p.branchActivated()
+	numIn := int32(p.flat.NumInputs())
+	for _, s := range p.cone {
+		if g, b := p.val[s].Good(), p.val[s].Bad(); g != logicsim.X && b != logicsim.X {
+			effect = effect || g != b
 			continue
 		}
-		if p.good[id] != logicsim.X && p.bad[id] != logicsim.X {
+		if s < numIn {
 			continue
 		}
-		if f.Gate == id && p.branchActivated(f) {
-			out = append(out, id)
+		fanin := p.flat.FaninSlots(int(s))
+		if !(s == p.site && branch) && !p.effectIn(fanin) {
 			continue
 		}
-		for _, fi := range g.Fanin {
-			if p.effectAt(fi) {
-				out = append(out, id)
-				break
-			}
+		p.frontier = append(p.frontier, s)
+		if id := p.flat.GateAt(int(s)); (objID < 0 || id < objID) && p.firstX(fanin) >= 0 {
+			objID, p.objGate = id, s
 		}
 	}
-	return out
+	return effect
+}
+
+// effectIn reports whether any of the slots carries the fault effect.
+func (p *Podem) effectIn(slots []int32) bool {
+	for _, s := range slots {
+		if p.effectAt(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstX returns the first of the slots whose good value is X, or -1.
+func (p *Podem) firstX(slots []int32) int32 {
+	for _, s := range slots {
+		if p.good(s) == logicsim.X {
+			return s
+		}
+	}
+	return -1
 }
 
 // xPathExists checks that some D-frontier gate reaches a primary output
 // through gates whose value is still unknown in either copy.
-func (p *Podem) xPathExists(frontier []int) bool {
-	if len(frontier) == 0 {
+func (p *Podem) xPathExists() bool {
+	if len(p.frontier) == 0 {
 		return false
 	}
-	isPO := make(map[int]bool, len(p.c.Outputs))
-	for _, o := range p.c.Outputs {
-		isPO[o] = true
-	}
-	seen := make([]bool, len(p.c.Gates))
-	stack := append([]int(nil), frontier...)
+	epoch := nextEpoch(&p.seenEpoch, p.seen)
+	stack := append(p.stack[:0], p.frontier...)
+	defer func() { p.stack = stack }()
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if p.seen[s] == epoch {
 			continue
 		}
-		seen[id] = true
-		if isPO[id] {
+		p.seen[s] = epoch
+		if p.isPO[s] {
 			return true
 		}
-		for _, out := range p.c.Gates[id].Fanout {
-			if p.good[out] == logicsim.X || p.bad[out] == logicsim.X {
-				stack = append(stack, out)
+		for _, fo := range p.fo[p.foAt[s]:p.foAt[s+1]] {
+			if v := p.val[fo]; v.Good() == logicsim.X || v.Bad() == logicsim.X {
+				stack = append(stack, fo)
 			}
 		}
 	}
@@ -223,62 +410,38 @@ func inverts(t netlist.GateType) bool {
 	}
 }
 
-// backtrace maps an objective (gate, value) to an unassigned primary
-// input and a value that tends to achieve the objective.
-func (p *Podem) backtrace(id int, v logicsim.Trit) (piIndex int, value logicsim.Trit, ok bool) {
+// backtrace maps an objective (slot, value) to an unassigned primary
+// input and a value that tends to achieve the objective. Input slots
+// come first in Circuit.Inputs order, so an input's slot is its index.
+func (p *Podem) backtrace(s int32, v logicsim.Trit) (piIndex int, value logicsim.Trit, ok bool) {
 	for {
-		g := &p.c.Gates[id]
-		if g.Type == netlist.Input {
-			for i, pid := range p.c.Inputs {
-				if pid == id {
-					if p.pi[i] != logicsim.X {
-						return 0, logicsim.X, false // already assigned: dead objective
-					}
-					return i, v, true
-				}
+		if int(s) < len(p.pi) {
+			if p.pi[s] != logicsim.X {
+				return 0, logicsim.X, false // already assigned: dead objective
 			}
-			return 0, logicsim.X, false
+			return int(s), v, true
 		}
-		if inverts(g.Type) {
+		if p.inv[s] {
 			v = logicsim.NotT(v)
 		}
 		// Choose an X-valued fanin; prefer the first.
-		next := -1
-		for _, fi := range g.Fanin {
-			if p.good[fi] == logicsim.X {
-				next = fi
-				break
-			}
-		}
-		if next < 0 {
+		if s = p.firstX(p.flat.FaninSlots(int(s))); s < 0 {
 			return 0, logicsim.X, false
 		}
-		id = next
 	}
 }
 
 // objective picks the next goal: activate the fault if not yet
-// activated, otherwise advance the D-frontier.
-func (p *Podem) objective(f fault.Fault) (id int, v logicsim.Trit, ok bool) {
-	line := faultLine(p.c, f)
-	if p.good[line] == logicsim.X {
-		return line, logicsim.NotT(stuckTrit(f.Stuck)), true
+// activated, otherwise advance the D-frontier gate the last
+// scanFrontier chose.
+func (p *Podem) objective() (s int32, v logicsim.Trit, ok bool) {
+	if p.good(p.line) == logicsim.X {
+		return p.line, logicsim.NotT(p.stuck), true
 	}
-	frontier := p.dFrontier(f)
-	for _, gid := range frontier {
-		g := &p.c.Gates[gid]
-		ctrl, has := controlling(g.Type)
-		want := logicsim.T
-		if has {
-			want = logicsim.NotT(ctrl)
-		}
-		for _, fi := range g.Fanin {
-			if p.good[fi] == logicsim.X {
-				return fi, want, true
-			}
-		}
+	if p.objGate < 0 {
+		return 0, logicsim.X, false
 	}
-	return 0, logicsim.X, false
+	return p.firstX(p.flat.FaninSlots(int(p.objGate))), p.want[p.objGate], true
 }
 
 // decision is one node of the backtracking stack.
@@ -293,79 +456,68 @@ type decision struct {
 // keeps full runs reproducible; callers wanting random fill can
 // post-process the returned assignment via FillX.
 func (p *Podem) Generate(f fault.Fault) (logicsim.Pattern, Status) {
-	if f.Gate < 0 || f.Gate >= len(p.c.Gates) {
+	if f.Gate < 0 || f.Gate >= len(p.c.Gates) || f.Pin >= len(p.c.Gates[f.Gate].Fanin) {
 		return nil, Untestable
 	}
 	limit := p.BacktrackLimit
 	if limit <= 0 {
 		limit = 10000
 	}
-	for i := range p.pi {
-		p.pi[i] = logicsim.X
-	}
-	var stack []decision
+	p.target(f)
+	p.decisions = p.decisions[:0]
 	backtracks := 0
 	for {
-		p.imply(f)
+		p.imply()
 		if p.detected() {
 			return p.extractPattern(), Detected
 		}
-		line := faultLine(p.c, f)
 		failed := false
 		// Activation impossible?
-		if p.good[line] != logicsim.X && p.good[line] == stuckTrit(f.Stuck) {
+		if v := p.good(p.line); v != logicsim.X && v == p.stuck {
 			failed = true
 		}
-		// Fault activated but effect vanished and no frontier to push.
-		if !failed && p.good[line] != logicsim.X {
-			frontier := p.dFrontier(f)
-			if !p.effectAnywhere() && !(p.branchActivated(f) && (p.good[f.Gate] == logicsim.X || p.bad[f.Gate] == logicsim.X)) {
+		// Fault activated but effect vanished and no frontier to push,
+		// or no X path from the frontier to an output (no output shows
+		// the effect yet: detected() was false).
+		if !failed && p.good(p.line) != logicsim.X {
+			effect := p.scanFrontier()
+			site := p.val[p.site]
+			if !effect && !(p.branchActivated() && (site.Good() == logicsim.X || site.Bad() == logicsim.X)) {
 				failed = true
-			} else if !p.xPathExists(frontier) && !p.detected() {
+			} else if !p.xPathExists() {
 				failed = true
 			}
 		}
 		if !failed {
-			id, v, ok := p.objective(f)
+			s, v, ok := p.objective()
 			if ok {
-				if pi, val, ok2 := p.backtrace(id, v); ok2 {
-					stack = append(stack, decision{pi: pi, value: val})
-					p.pi[pi] = val
+				if pi, val, ok2 := p.backtrace(s, v); ok2 {
+					p.decisions = append(p.decisions, decision{pi: pi, value: val})
+					p.assign(pi, val)
 					continue
 				}
 			}
-			failed = true
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
+			if len(p.decisions) == 0 {
 				return nil, Untestable
 			}
-			top := &stack[len(stack)-1]
+			top := &p.decisions[len(p.decisions)-1]
 			if !top.flipped {
 				top.flipped = true
 				top.value = logicsim.NotT(top.value)
-				p.pi[top.pi] = top.value
+				p.assign(top.pi, top.value)
 				backtracks++
 				if backtracks > limit {
 					return nil, Aborted
 				}
 				break
 			}
-			p.pi[top.pi] = logicsim.X
-			stack = stack[:len(stack)-1]
+			p.assign(top.pi, logicsim.X)
+			p.decisions = p.decisions[:len(p.decisions)-1]
 		}
 	}
-}
-
-// effectAnywhere reports whether any gate carries the fault effect.
-func (p *Podem) effectAnywhere() bool {
-	for id := range p.c.Gates {
-		if p.effectAt(id) {
-			return true
-		}
-	}
-	return false
 }
 
 // extractPattern converts the PI assignment to a concrete pattern,

@@ -185,6 +185,7 @@ func CollapseEquivalence(c *netlist.Circuit, faults []Fault) []Class {
 		groups[r] = append(groups[r], i)
 	}
 	roots := make([]int, 0, len(groups))
+	//repolint:ordered — key harvest; the roots are sorted before use
 	for r := range groups {
 		roots = append(roots, r)
 	}

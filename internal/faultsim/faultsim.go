@@ -115,6 +115,7 @@ func ParseEngine(name string) (Engine, error) {
 // cross-engine tests.
 func Engines() []Engine {
 	out := make([]Engine, 0, len(registry))
+	//repolint:ordered — key harvest; sorted ascending below before use
 	for e := range registry {
 		out = append(out, e)
 	}
@@ -146,21 +147,32 @@ func Run(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, 
 
 // RunOpts is Run with explicit engine options.
 func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (Result, error) {
-	if len(patterns) == 0 {
-		return Result{}, fmt.Errorf("faultsim: no patterns")
-	}
-	st, ok := registry[engine]
-	if !ok {
-		return Result{}, fmt.Errorf("faultsim: unknown engine %v", engine)
-	}
-	s, err := newSession(c, faults, patterns, opt)
+	s, err := simulate(c, faults, patterns, engine, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := st.run(s); err != nil {
-		return Result{}, err
-	}
 	return Result{FirstDetect: s.first, Patterns: len(patterns)}, nil
+}
+
+// simulate runs the engine over a fresh session and returns the
+// session, whose first-detect array is the pattern-level result and
+// whose compiled state later passes (RunStepsOpts) may reuse.
+func simulate(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (*session, error) {
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("faultsim: no patterns")
+	}
+	st, ok := registry[engine]
+	if !ok {
+		return nil, fmt.Errorf("faultsim: unknown engine %v", engine)
+	}
+	s, err := newSession(c, faults, patterns, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.run(s); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // session carries the state every engine shares: the circuit, the fault
@@ -234,13 +246,23 @@ func (s *session) flatSim() (*logicsim.FlatSim, error) {
 	return s.fsim, nil
 }
 
-// flatConeSet returns the circuit's slot cones, built on first use and
-// cached on the circuit across sessions. The set is immutable and
-// shared across workers.
+// flatConeSet returns the circuit's slot-cone set (cached on the
+// circuit across sessions) with the cone of every fault site of the
+// session compiled: only the sites a fault list uses are ever built.
+// Engines call it before spawning workers, whose cone lookups are then
+// lock-free reads of cones nobody writes any more.
 func (s *session) flatConeSet() (*logicsim.FlatConeSet, error) {
 	if s.flatCones == nil {
 		cs, err := logicsim.FlatConeSetFor(s.c)
 		if err != nil {
+			return nil, err
+		}
+		flat := cs.Flat()
+		sites := make([]int32, len(s.faults))
+		for i, f := range s.faults {
+			sites[i] = int32(flat.SlotOf(f.Gate))
+		}
+		if err := cs.Ensure(sites); err != nil {
 			return nil, err
 		}
 		s.flatCones = cs

@@ -2,6 +2,8 @@ package faultsim
 
 import (
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -76,6 +78,61 @@ func BenchmarkPPSFPWorkersMul8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunOpts(c, reps, patterns, PPSFP, Options{Workers: runtime.GOMAXPROCS(0)}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentSessionsShareCones runs two sessions at once on one
+// shared circuit, each sharding PPSFP over 4 workers: while one
+// session's workers walk cones of the circuit's shared set, the other
+// compiles the cones of its own fault sites into it. Under -race this
+// guards the on-demand cone set's publication rule; either way both
+// sessions must match the Serial baseline.
+func TestConcurrentSessionsShareCones(t *testing.T) {
+	build := func() *netlist.Circuit {
+		c, err := netlist.LSIChip(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Levelize(); err != nil { // share only levelized circuits
+			t.Fatal(err)
+		}
+		return c
+	}
+	ref := build()
+	reps := fault.Reps(fault.CollapseEquivalence(ref, fault.AllFaults(ref)))
+	var halves [2][]fault.Fault
+	for i, f := range reps {
+		halves[i%2] = append(halves[i%2], f)
+	}
+	patterns := randomPatterns(ref, 130, 5)
+	var want [2]Result
+	for h := range halves {
+		var err error
+		if want[h], err = Run(ref, halves[h], patterns, Serial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		c := build() // a fresh circuit: an empty cone set to race on
+		var got [2]Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for h := range halves {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				got[h], errs[h] = RunOpts(c, halves[h], patterns, PPSFP, Options{Workers: 4})
+			}(h)
+		}
+		wg.Wait()
+		for h := range halves {
+			if errs[h] != nil {
+				t.Fatal(errs[h])
+			}
+			if !slices.Equal(got[h].FirstDetect, want[h].FirstDetect) {
+				t.Fatalf("round %d session %d: first-detects differ from Serial", round, h)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -33,30 +34,42 @@ func RunSteps(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patt
 
 // RunStepsOpts is RunSteps with an explicit pattern-level engine.
 func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (Result, error) {
-	res, err := RunOpts(c, faults, patterns, engine, opt)
+	s, err := simulate(c, faults, patterns, engine, opt)
 	if err != nil {
 		return Result{}, err
 	}
 	nOut := len(c.Outputs)
 	first := make([]int, len(faults))
-	byPattern := make(map[int][]int)
-	for fi, p := range res.FirstDetect {
+	var detected []int
+	for fi, p := range s.first {
 		first[fi] = NotDetected
 		if p != NotDetected {
-			byPattern[p] = append(byPattern[p], fi)
+			detected = append(detected, fi)
 		}
 	}
-	// The slot cones are the ones the pattern-level run just used (cached
-	// on the circuit), so the refinement builds nothing new.
-	cones, err := logicsim.FlatConeSetFor(c)
+	// Refine pattern by pattern in ascending order (fault order within
+	// a pattern), so a disagreement is reported the same way every run.
+	slices.SortStableFunc(detected, func(a, b int) int { return s.first[a] - s.first[b] })
+	// The session's slot cones: the ones the pattern-level run just
+	// walked, or, for an engine that walks none, compiled now for the
+	// session's fault sites.
+	cones, err := s.flatConeSet()
+	if err != nil {
+		return Result{}, err
+	}
+	fsim, err := s.flatSim()
 	if err != nil {
 		return Result{}, err
 	}
 	flat := cones.Flat()
-	fsim := logicsim.NewFlatSim(flat)
 	outDiffs := make([]uint64, nOut)
 	var good []uint64
-	for p, fis := range byPattern {
+	for lo := 0; lo < len(detected); {
+		p := s.first[detected[lo]]
+		hi := lo + 1
+		for hi < len(detected) && s.first[detected[hi]] == p {
+			hi++
+		}
 		blk, err := logicsim.PackPatterns([]logicsim.Pattern{patterns[p]})
 		if err != nil {
 			return Result{}, err
@@ -64,7 +77,7 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 		if good, err = fsim.RunInto(blk, good); err != nil {
 			return Result{}, err
 		}
-		for _, fi := range fis {
+		for _, fi := range detected[lo:hi] {
 			f := faults[fi]
 			slot := flat.SlotOf(f.Gate)
 			cone := cones.ConeOfPtr(slot)
@@ -89,6 +102,7 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 				}
 			}
 		}
+		lo = hi
 	}
 	return Result{FirstDetect: first, Patterns: len(patterns) * nOut}, nil
 }

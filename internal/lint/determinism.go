@@ -8,14 +8,20 @@ import (
 // determinismScopes are the result-producing packages: everything that
 // feeds the byte-identity contracts (sweep CSV/JSON, campaign
 // checkpoints and shard files, the dist/estimate numbers inside them,
-// and the sweepd wire output). Matched by import-path suffix so the
-// fixture packages exercise the same scoping.
+// the sweepd wire output, and the Prepared-store artifact bytes that
+// fault collapsing, ATPG, fault simulation and the flat core produce).
+// Matched by import-path suffix so the fixture packages exercise the
+// same scoping.
 var determinismScopes = []string{
 	"internal/sweep",
 	"internal/campaign",
 	"internal/circuits",
 	"internal/dist",
 	"internal/estimate",
+	"internal/fault",
+	"internal/atpg",
+	"internal/faultsim",
+	"internal/logicsim",
 	"cmd/sweepd",
 }
 
@@ -35,7 +41,8 @@ var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, the global math/rand source, and un-annotated " +
 		"map iteration in the result-producing packages (sweep, campaign, circuits, " +
-		"dist, estimate, sweepd): results must be byte-identical for any -workers, " +
+		"dist, estimate, fault, atpg, faultsim, logicsim, sweepd): results must be " +
+		"byte-identical for any -workers, " +
 		"across crash/resume, and across cold/warm Prepared stores",
 	Run: runDeterminism,
 }

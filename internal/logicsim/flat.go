@@ -228,6 +228,30 @@ func (f *Flat) FaninSlots(slot int) []int32 {
 // Circuit.Outputs).
 func (f *Flat) OutputSlot(oi int) int { return int(f.outSlot[oi]) }
 
+// Fanout computes the slot-space fanout of the flat circuit: the slots
+// reading slot s are fanout[at[s]:at[s+1]], ascending, one entry per
+// reading pin. The arrays are freshly allocated and owned by the
+// caller; the Flat itself keeps only fanin.
+func (f *Flat) Fanout() (at, fanout []int32) {
+	n := len(f.op)
+	at = make([]int32, n+1)
+	for _, fs := range f.fanin {
+		at[fs+1]++
+	}
+	for s := 0; s < n; s++ {
+		at[s+1] += at[s]
+	}
+	fanout = make([]int32, len(f.fanin))
+	fill := make([]int32, n)
+	for slot := 0; slot < n; slot++ {
+		for _, fs := range f.fanin[f.faninAt[slot]:f.faninAt[slot+1]] {
+			fanout[at[fs]+fill[fs]] = int32(slot)
+			fill[fs]++
+		}
+	}
+	return at, fanout
+}
+
 // FlatSim is the 64-lane walk state over a Flat: one value word per
 // slot, reused across runs. It is not safe for concurrent use; create
 // one per goroutine over the shared Flat.

@@ -3,6 +3,7 @@ package logicsim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -43,168 +44,198 @@ type FlatCone struct {
 	Bound []int32
 }
 
-// FlatConeSet precomputes the output cone of every slot of a flat
-// circuit, stored as flattened ranges over shared arrays (one
-// allocation each, no per-cone slice headers). It is immutable after
-// construction and safe for concurrent readers; it is cached on the
-// circuit beside the Flat (one simCaches bundle, one invalidation
-// rule).
+// FlatConeSet holds the output cones of a flat circuit's fault sites,
+// each compiled the first time a caller asks for it (Ensure): one set
+// per circuit serves every fault list ever simulated on it, and a
+// sampled universe pays only for the sites it uses rather than for
+// every slot. A cone is a pure function of its site, so the order in
+// which cones get built never shows in any output. The set is cached
+// on the circuit beside the Flat (one simCaches bundle, one
+// invalidation rule).
+//
+// Concurrency: Ensure is the only writer and serializes on the set's
+// mutex; ConeOfPtr is a lock-free read. A goroutine may read a slot's
+// cone once an Ensure covering that slot has returned before the read
+// (on the same goroutine, or before the reader was started), which is
+// how the sharded engines use it: the session ensures its fault sites,
+// then spawns its workers.
 type FlatConeSet struct {
-	f      *Flat
-	coneAt []int32 // slot -> offset of its cone in slots; len = slots+1
-	slots  []int32 // concatenated cone slot lists
-	outAt  []int32 // slot -> offset of its outputs in outIdx/outPos
-	outIdx []int32 // concatenated reachable-output index lists
-	outPos []int32 // concatenated within-cone positions, aligned with outIdx
-	progAt []int32 // slot -> offset of its instruction stream in prog
-	prog   []int32 // concatenated cone programs (see FlatCone.Prog)
-	bndAt  []int32 // slot -> offset of its boundary list in bnd
-	bnd    []int32 // concatenated boundary slot lists (see FlatCone.Bound)
-	// cones holds every slot's assembled FlatCone view over the arrays
-	// above, so per-fault hot paths borrow a pointer (ConeOfPtr) instead
-	// of copying five slice headers per lookup — and sessions need no
-	// per-fault cone cache of their own, which kept showing up as
-	// allocation and GC write-barrier traffic on short runs.
-	cones []FlatCone
+	f *Flat
+
+	mu sync.Mutex
+	// cones[slot] is the slot's cone once built; an unbuilt cone has
+	// no Slots (every built cone holds at least its site). A cone's
+	// five lists share one exactly sized block, so the set holds no
+	// slack: no growth capacity, no half-used chunk.
+	cones   []FlatCone
+	members int // total (slot, cone) memberships built so far
 }
 
-// NewFlatConeSet builds all slot cones of the flat circuit.
-func NewFlatConeSet(f *Flat) (*FlatConeSet, error) {
-	n := f.Slots()
-	// Fanout in slot space, rebuilt from the fanin arrays: count, prefix
-	// sums, fill.
-	cnt := make([]int32, n+1)
-	for _, fs := range f.fanin {
-		cnt[fs+1]++
-	}
-	for s := 0; s < n; s++ {
-		cnt[s+1] += cnt[s]
-	}
-	fanout := make([]int32, len(f.fanin))
-	fill := make([]int32, n)
-	for slot := 0; slot < n; slot++ {
-		for _, fs := range f.fanin[f.faninAt[slot]:f.faninAt[slot+1]] {
-			fanout[cnt[fs]+fill[fs]] = int32(slot)
-			fill[fs]++
+// NewFlatConeSet returns an empty cone set over the flat circuit;
+// cones are compiled on demand (Ensure, ConeOf).
+func NewFlatConeSet(f *Flat) *FlatConeSet {
+	return &FlatConeSet{f: f, cones: make([]FlatCone, f.Slots())}
+}
+
+// Ensure compiles the cones of the listed slots that are not built
+// yet. It must return before any goroutine reads those cones through
+// ConeOfPtr (see FlatConeSet). The compile scratch lives only for the
+// call.
+func (cs *FlatConeSet) Ensure(slots []int32) error {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	var b *coneBuilder
+	for _, s := range slots {
+		slot := int(s)
+		if slot < 0 || slot >= len(cs.cones) {
+			return errSlotRange(slot)
 		}
+		if len(cs.cones[slot].Slots) != 0 {
+			continue
+		}
+		if b == nil {
+			b = newConeBuilder(cs.f)
+		}
+		if err := b.compile(s); err != nil {
+			return err
+		}
+		cs.store(slot, b)
 	}
-	// Per-slot output index (into Circuit.Outputs), -1 when the slot
-	// drives no primary output.
-	outOf := make([]int32, n)
-	for i := range outOf {
-		outOf[i] = -1
+	return nil
+}
+
+// store copies the cone b just compiled into one exactly sized block
+// and installs it as the slot's cone. Callers hold cs.mu.
+func (cs *FlatConeSet) store(slot int, b *coneBuilder) {
+	block := make([]int32, 0, len(b.cone)+2*len(b.outIdx)+len(b.prog)+len(b.bnd))
+	take := func(src []int32) []int32 {
+		lo := len(block)
+		block = append(block, src...)
+		return block[lo:len(block):len(block)]
+	}
+	cs.cones[slot] = FlatCone{
+		Slots:   take(b.cone),
+		Outputs: take(b.outIdx),
+		OutPos:  take(b.outPos),
+		Prog:    take(b.prog),
+		Bound:   take(b.bnd),
+	}
+	cs.members += len(b.cone)
+}
+
+// coneBuilder is the scratch one Ensure call compiles cones with: the
+// slot-space fanout, per-slot output indices, epoch marks, and the
+// lists of the cone being compiled.
+type coneBuilder struct {
+	f      *Flat
+	foAt   []int32 // slot -> offset of its fanout in fo; len = slots+1
+	fo     []int32 // concatenated fanout slot lists
+	outOf  []int32 // slot -> index into Circuit.Outputs, or -1
+	mark   []int32 // mark[slot] == site: slot is in site's cone
+	seen   []int32 // seen[slot] == site: cone member or emitted boundary
+	queue  []int32
+	cone   []int32
+	outIdx []int32
+	outPos []int32
+	prog   []int32
+	bnd    []int32
+}
+
+func newConeBuilder(f *Flat) *coneBuilder {
+	n := f.Slots()
+	foAt, fo := f.Fanout()
+	b := &coneBuilder{
+		f:     f,
+		foAt:  foAt,
+		fo:    fo,
+		outOf: make([]int32, n),
+		mark:  make([]int32, n),
+		seen:  make([]int32, n),
+	}
+	for i := range b.outOf {
+		b.outOf[i] = -1
+		b.mark[i] = -1
+		b.seen[i] = -1
 	}
 	for oi, os := range f.outSlot {
-		outOf[os] = int32(oi)
+		b.outOf[os] = int32(oi)
 	}
-	cs := &FlatConeSet{
-		f:      f,
-		coneAt: make([]int32, n+1),
-		outAt:  make([]int32, n+1),
-		progAt: make([]int32, n+1),
-		bndAt:  make([]int32, n+1),
-	}
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	// seen[slot] == site marks a slot as already part of the cone being
-	// compiled — a cone member or an emitted boundary slot.
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	queue := make([]int32, 0, n)
-	cone := make([]int32, 0, n)
-	for site := 0; site < n; site++ {
-		cone = cone[:0]
-		queue = append(queue[:0], int32(site))
-		mark[site] = int32(site)
-		cone = append(cone, int32(site))
-		for len(queue) > 0 {
-			slot := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, fo := range fanout[cnt[slot]:cnt[slot+1]] {
-				if mark[fo] != int32(site) {
-					mark[fo] = int32(site)
-					cone = append(cone, fo)
-					queue = append(queue, fo)
-				}
-			}
-		}
-		// Ascending slot order is topological, so a plain integer sort
-		// levelizes the cone.
-		slices.Sort(cone)
-		if cone[0] != int32(site) {
-			return nil, fmt.Errorf("logicsim: cone of slot %d does not start at the site (cycle?)", site)
-		}
-		cs.coneAt[site] = int32(len(cs.slots))
-		cs.slots = append(cs.slots, cone...)
-		cs.outAt[site] = int32(len(cs.outIdx))
-		for pos, slot := range cone {
-			if oi := outOf[slot]; oi >= 0 {
-				cs.outIdx = append(cs.outIdx, oi)
-				cs.outPos = append(cs.outPos, int32(pos))
-			}
-		}
-		// Keep Outputs ascending by output index (consumers rely on it to
-		// find the first strobed output), carrying the positions along.
-		sortOutPair(cs.outIdx[cs.outAt[site]:], cs.outPos[cs.outAt[site]:])
-		// Compile the cone body to its instruction stream (see
-		// FlatCone.Prog for the record shapes), collecting the boundary
-		// (distinct out-of-cone fanins) on first reference. 1-input gates
-		// duplicate their operand so every non-wide record is exactly
-		// four words.
-		for _, slot := range cone {
-			seen[slot] = int32(site)
-		}
-		cs.progAt[site] = int32(len(cs.prog))
-		cs.bndAt[site] = int32(len(cs.bnd))
-		for _, slot := range cone[1:] {
-			lo, hi := f.faninAt[slot], f.faninAt[slot+1]
-			op := f.op[slot]
-			if op <= opXnor2 {
-				a := f.fanin[lo]
-				b := a
-				if hi-lo == 2 {
-					b = f.fanin[lo+1]
-				}
-				cs.prog = append(cs.prog, int32(op), slot, a, b)
-				if seen[a] != int32(site) {
-					seen[a] = int32(site)
-					cs.bnd = append(cs.bnd, a)
-				}
-				if seen[b] != int32(site) {
-					seen[b] = int32(site)
-					cs.bnd = append(cs.bnd, b)
-				}
-				continue
-			}
-			cs.prog = append(cs.prog, int32(op)|(hi-lo)<<8, slot)
-			for _, fs := range f.fanin[lo:hi] {
-				if seen[fs] != int32(site) {
-					seen[fs] = int32(site)
-					cs.bnd = append(cs.bnd, fs)
-				}
-				cs.prog = append(cs.prog, fs)
+	return b
+}
+
+// compile builds the cone of site into the builder's lists (see
+// FlatCone for their meaning and layout).
+func (b *coneBuilder) compile(site int32) error {
+	f := b.f
+	b.cone = append(b.cone[:0], site)
+	b.queue = append(b.queue[:0], site)
+	b.mark[site] = site
+	for len(b.queue) > 0 {
+		slot := b.queue[len(b.queue)-1]
+		b.queue = b.queue[:len(b.queue)-1]
+		for _, fo := range b.fo[b.foAt[slot]:b.foAt[slot+1]] {
+			if b.mark[fo] != site {
+				b.mark[fo] = site
+				b.cone = append(b.cone, fo)
+				b.queue = append(b.queue, fo)
 			}
 		}
 	}
-	cs.coneAt[n] = int32(len(cs.slots))
-	cs.outAt[n] = int32(len(cs.outIdx))
-	cs.progAt[n] = int32(len(cs.prog))
-	cs.bndAt[n] = int32(len(cs.bnd))
-	cs.cones = make([]FlatCone, n)
-	for slot := 0; slot < n; slot++ {
-		cs.cones[slot] = FlatCone{
-			Slots:   cs.slots[cs.coneAt[slot]:cs.coneAt[slot+1]],
-			Outputs: cs.outIdx[cs.outAt[slot]:cs.outAt[slot+1]],
-			OutPos:  cs.outPos[cs.outAt[slot]:cs.outAt[slot+1]],
-			Prog:    cs.prog[cs.progAt[slot]:cs.progAt[slot+1]],
-			Bound:   cs.bnd[cs.bndAt[slot]:cs.bndAt[slot+1]],
+	// Ascending slot order is topological, so a plain integer sort
+	// levelizes the cone.
+	slices.Sort(b.cone)
+	if b.cone[0] != site {
+		return fmt.Errorf("logicsim: cone of slot %d does not start at the site (cycle?)", site)
+	}
+	b.outIdx, b.outPos = b.outIdx[:0], b.outPos[:0]
+	for pos, slot := range b.cone {
+		if oi := b.outOf[slot]; oi >= 0 {
+			b.outIdx = append(b.outIdx, oi)
+			b.outPos = append(b.outPos, int32(pos))
 		}
 	}
-	return cs, nil
+	// Keep Outputs ascending by output index (consumers rely on it to
+	// find the first strobed output), carrying the positions along.
+	sortOutPair(b.outIdx, b.outPos)
+	// Compile the cone body to its instruction stream (see
+	// FlatCone.Prog for the record shapes), collecting the boundary
+	// (distinct out-of-cone fanins) on first reference. 1-input gates
+	// duplicate their operand so every non-wide record is exactly four
+	// words.
+	for _, slot := range b.cone {
+		b.seen[slot] = site
+	}
+	b.prog, b.bnd = b.prog[:0], b.bnd[:0]
+	for _, slot := range b.cone[1:] {
+		lo, hi := f.faninAt[slot], f.faninAt[slot+1]
+		op := f.op[slot]
+		if op <= opXnor2 {
+			a := f.fanin[lo]
+			c := a
+			if hi-lo == 2 {
+				c = f.fanin[lo+1]
+			}
+			b.prog = append(b.prog, int32(op), slot, a, c)
+			b.boundary(site, a)
+			b.boundary(site, c)
+			continue
+		}
+		b.prog = append(b.prog, int32(op)|(hi-lo)<<8, slot)
+		for _, fs := range f.fanin[lo:hi] {
+			b.boundary(site, fs)
+			b.prog = append(b.prog, fs)
+		}
+	}
+	return nil
+}
+
+// boundary records fs as a boundary slot of site's cone on its first
+// reference.
+func (b *coneBuilder) boundary(site, fs int32) {
+	if b.seen[fs] != site {
+		b.seen[fs] = site
+		b.bnd = append(b.bnd, fs)
+	}
 }
 
 // sortOutPair sorts the parallel (outIdx, outPos) tails by output index
@@ -219,10 +250,11 @@ func sortOutPair(idx, pos []int32) {
 	}
 }
 
-// FlatConeSetFor returns the circuit's flat cone set, building it (and
+// FlatConeSetFor returns the circuit's flat cone set, creating it (and
 // the Flat underneath, if needed) on first use and caching both on the
-// circuit. Like every lazy circuit cache it is safe for concurrent
-// callers but must not race with mutation.
+// circuit. The set starts empty; callers Ensure the cones they walk.
+// Like every lazy circuit cache it is safe for concurrent callers but
+// must not race with mutation.
 func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -237,37 +269,46 @@ func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
 		}
 		sc.flat = f
 	}
-	cs, err := NewFlatConeSet(sc.flat)
-	if err != nil {
-		return nil, err
-	}
-	sc.flatCones = cs
-	return cs, nil
+	sc.flatCones = NewFlatConeSet(sc.flat)
+	return sc.flatCones, nil
 }
 
 // Flat returns the compiled form the cones are expressed in.
 func (cs *FlatConeSet) Flat() *Flat { return cs.f }
 
-// ConeOf returns the output cone of the slot. Both stem faults and
-// input-pin faults of a gate disturb the gate's own output first, so
-// one cone serves every fault on the slot's gate. The returned slices
-// alias the set's arrays; callers must not mutate them.
+// ConeOf returns the output cone of the slot, compiling it first if
+// needed. Both stem faults and input-pin faults of a gate disturb the
+// gate's own output first, so one cone serves every fault on the
+// slot's gate. The returned slices alias the set's storage; callers
+// must not mutate them. A slot out of range yields an empty cone, which
+// the walks reject.
 func (cs *FlatConeSet) ConeOf(slot int) FlatCone {
+	if err := cs.Ensure([]int32{int32(slot)}); err != nil {
+		return FlatCone{}
+	}
 	return cs.cones[slot]
 }
 
 // ConeOfPtr is ConeOf for hot loops: it borrows the set's own FlatCone
-// for the slot instead of copying five slice headers per lookup. The
-// pointee is shared and immutable; callers must not mutate it.
+// for the slot instead of copying five slice headers per lookup, and
+// takes no lock. The slot's cone must have been built by an Ensure that
+// returned before this call (see FlatConeSet); an unbuilt cone is
+// empty, which the walks reject. The pointee is shared and immutable;
+// callers must not mutate it.
 //
 //repolint:hotpath
 func (cs *FlatConeSet) ConeOfPtr(slot int) *FlatCone {
 	return &cs.cones[slot]
 }
 
-// Size reports the total number of (slot, cone) memberships — the same
-// measure ConeSet.Size reports for the pointer cones.
-func (cs *FlatConeSet) Size() int { return len(cs.slots) }
+// Size reports the number of (slot, cone) memberships built so far —
+// for a fully built set, the same measure ConeSet.Size reports for the
+// pointer cones.
+func (cs *FlatConeSet) Size() int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.members
+}
 
 // RunCone re-simulates a single stuck-at *stem* fault on top of the
 // good-machine state left in the simulator by the immediately preceding

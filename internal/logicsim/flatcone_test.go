@@ -29,13 +29,7 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs, err := NewFlatConeSet(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fcs.Size() != cs.Size() {
-			t.Fatalf("%s: flat cone set size %d, gate cone set size %d", c.Name, fcs.Size(), cs.Size())
-		}
+		fcs := NewFlatConeSet(f)
 		for gate := range c.Gates {
 			slot := f.SlotOf(gate)
 			fc := fcs.ConeOf(slot)
@@ -71,6 +65,10 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 				}
 			}
 		}
+		// ConeOf compiled every slot's cone on demand.
+		if fcs.Size() != cs.Size() {
+			t.Fatalf("%s: flat cone set size %d, gate cone set size %d", c.Name, fcs.Size(), cs.Size())
+		}
 	}
 }
 
@@ -93,10 +91,7 @@ func TestRunConeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs, err := NewFlatConeSet(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fcs := NewFlatConeSet(f)
 		fs := NewFlatSim(f)
 		block := randomBlock(t, c, 1+int(int64(len(c.Gates))%64), int64(len(c.Gates)))
 		if _, err := fs.RunInto(block, nil); err != nil {
@@ -193,10 +188,7 @@ func TestRunConeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs, err := NewFlatConeSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcs := NewFlatConeSet(f)
 	fs := NewFlatSim(f)
 	block, err := PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
 	if err != nil {
@@ -206,6 +198,15 @@ func TestRunConeZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	outDiffs := make([]uint64, len(c.Outputs))
+	// Compile every cone up front: the steady state is a walk over
+	// cones a session has already ensured.
+	every := make([]int32, f.Slots())
+	for i := range every {
+		every[i] = int32(i)
+	}
+	if err := fcs.Ensure(every); err != nil {
+		t.Fatal(err)
+	}
 	// Warm once so the save/restore scratch reaches its high-water mark.
 	if _, err := fs.RunCone(f.NumInputs(), true, conePtr(fcs.ConeOf(f.NumInputs())), outDiffs); err != nil {
 		t.Fatal(err)
@@ -236,10 +237,7 @@ func TestFlatConeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs, err := NewFlatConeSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcs := NewFlatConeSet(f)
 	fs := NewFlatSim(f)
 	// A cone walk without a preceding good run must be rejected, not
 	// silently report every fault undetected.
@@ -265,6 +263,13 @@ func TestFlatConeErrors(t *testing.T) {
 	}
 	if _, err := fs.RunWithFaultInto(block, -1, -1, false, nil); err == nil {
 		t.Error("out-of-range fault slot accepted")
+	}
+	if err := fcs.Ensure([]int32{int32(f.Slots())}); err == nil {
+		t.Error("Ensure accepted an out-of-range slot")
+	}
+	// An unbuilt cone is empty, and the walks reject it.
+	if _, err := fs.RunCone(logic, false, NewFlatConeSet(f).ConeOfPtr(logic), nil); err == nil {
+		t.Error("walk over an unbuilt cone accepted")
 	}
 }
 

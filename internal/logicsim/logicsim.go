@@ -5,15 +5,17 @@
 //     carries 64 independent input patterns, the standard trick the
 //     fault simulator builds on, with single- and multi-fault
 //     injection;
-//   - precomputed per-slot output cones (FlatConeSet) and
-//     cone-restricted faulty re-simulation (RunCone/RunConeForced), the
-//     structural machinery the fault simulator's fast engines are built
-//     on;
+//   - per-slot output cones compiled on demand for the fault sites in
+//     use (FlatConeSet) and cone-restricted faulty re-simulation
+//     (RunCone/RunConeForced), the structural machinery the fault
+//     simulator's fast engines are built on;
 //   - N-word lane blocks (WideSim) with per-lane fault forcing
 //     (WideLaneForces), where each bit-lane carries its own machine: the
 //     fault-parallel and chip-parallel engines' walk;
-//   - three-valued (0/1/X) gate functions (EvalT) for the PODEM test
-//     generator's implication step.
+//   - three-valued (0/1/X) gate functions: EvalT per gate, and
+//     Flat.EvalPair over a plane of TritPair values carrying a good and
+//     a faulty machine at once, the PODEM test generator's
+//     event-driven implication step.
 package logicsim
 
 import (

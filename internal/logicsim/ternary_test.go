@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,61 @@ func TestTernaryXPropagation(t *testing.T) {
 	g11, _ := c.GateByName("11")
 	if vals[g10] != T || vals[g11] != T {
 		t.Errorf("NAND with a 0 input must be 1: g10=%v g11=%v", vals[g10], vals[g11])
+	}
+}
+
+// TestEvalPairMatchesEvalT pins the packed two-machine gate function
+// to EvalT: walking the slots in order under random, independent 0/1/X
+// inputs per machine must give every gate, in each machine, the value
+// the gate-level ternary walk gives it over that machine's inputs.
+func TestEvalPairMatchesEvalT(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	lsi, err := netlist.LSIChip(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := []*netlist.Circuit{netlist.C17(), lsi}
+	for seed := int64(1); seed <= 3; seed++ {
+		c, err := netlist.RandomCircuit("r", 8, 120, 6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	for _, tr := range []Trit{F, T, X} {
+		for _, b := range []Trit{F, T, X} {
+			if p := PairOf(tr, b); p.Good() != tr || p.Bad() != b || p.WithBad(tr).Bad() != tr || p.WithBad(tr).Good() != tr {
+				t.Fatalf("PairOf(%v, %v) round trip", tr, b)
+			}
+		}
+	}
+	for _, c := range circuits {
+		f, err := NewFlat(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plane := make([]TritPair, f.Slots())
+		for trial := 0; trial < 20; trial++ {
+			good := make([]Trit, len(c.Inputs))
+			bad := make([]Trit, len(c.Inputs))
+			for i := range good {
+				good[i], bad[i] = Trit(rng.Intn(3)), Trit(rng.Intn(3))
+				if trial%2 == 0 {
+					bad[i] = good[i] // agreeing machines must stay agreeing
+				}
+				plane[i] = PairOf(good[i], bad[i])
+			}
+			wantGood, wantBad := ternaryRun(t, c, good), ternaryRun(t, c, bad)
+			for slot := f.NumInputs(); slot < f.Slots(); slot++ {
+				plane[slot] = f.EvalPair(slot, plane)
+			}
+			for slot, v := range plane {
+				g := f.GateAt(slot)
+				if v.Good() != wantGood[g] || v.Bad() != wantBad[g] {
+					t.Fatalf("%s trial %d gate %d: EvalPair (%v, %v), EvalT (%v, %v)",
+						c.Name, trial, g, v.Good(), v.Bad(), wantGood[g], wantBad[g])
+				}
+			}
+		}
 	}
 }
