@@ -116,6 +116,10 @@ func Prepare(c *netlist.Circuit, p Params) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// Only the faultsim sessions below read the circuit's cone set; the
+	// artifact holds the circuit, so drop the set rather than keep it
+	// alive for every lot after.
+	defer logicsim.ReleaseFlatCones(c)
 	// Stage 1: structural validation and stats.
 	stats, err := c.ComputeStats()
 	if err != nil {

@@ -9,9 +9,17 @@ import (
 // TestSampledPrepareCompilesOnlySiteCones checks that a sampled Prepare
 // pays for the output cones of its own fault sites and nothing else:
 // every site's cone is compiled (looking one up compiles nothing new),
-// and the compiled memberships are exactly those cones'.
+// and the compiled memberships are exactly those cones'. Prepare
+// releases the circuit's cone set when it returns, so the test takes
+// the set first: Prepare's sessions then compile into the set the test
+// holds. It also checks the release: afterwards the circuit hands out a
+// fresh, empty set.
 func TestSampledPrepareCompilesOnlySiteCones(t *testing.T) {
 	c, err := Resolve("lsi1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,9 +27,12 @@ func TestSampledPrepareCompilesOnlySiteCones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := logicsim.FlatConeSetFor(c)
+	fresh, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fresh == cs || fresh.Size() != 0 {
+		t.Fatalf("Prepare kept the circuit's cone set alive (same set %v, %d memberships)", fresh == cs, fresh.Size())
 	}
 	built := cs.Size()
 	flat := cs.Flat()

@@ -9,8 +9,9 @@ package defect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/fault"
@@ -123,10 +124,42 @@ func (m Model) ExpectedN0() float64 {
 // faults from a universe of size total. Each defect yields a
 // shifted-Poisson number of faults with mean FaultsPerDefect, placed
 // near a random center (locality) or uniformly. The returned indices
-// are distinct; a chip cannot carry the same stuck-at fault twice.
+// are distinct and sorted; a chip cannot carry the same stuck-at fault
+// twice.
 func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 	if total <= 0 || ndefects <= 0 {
 		return nil
+	}
+	c := newFaultCaster(total)
+	return m.cast(&c, rng, ndefects)
+}
+
+// faultCaster is the per-lot scratch of the physical path. A fault
+// index is chosen on the current chip iff its mark equals epoch, so
+// starting the next chip is one increment, not a clear; list collects
+// the chip's choices in draw order.
+type faultCaster struct {
+	mark  []uint32
+	epoch uint32
+	list  []int
+}
+
+func newFaultCaster(total int) faultCaster {
+	return faultCaster{mark: make([]uint32, total)}
+}
+
+// cast draws one chip's faults into the caster's list and returns it
+// sorted. The list is scratch: it is overwritten by the next call.
+func (m Model) cast(c *faultCaster, rng *rand.Rand, ndefects int) []int {
+	c.list = c.list[:0]
+	if ndefects <= 0 {
+		return nil
+	}
+	total := len(c.mark)
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.mark)
+		c.epoch = 1
 	}
 	window := m.Window
 	if window <= 0 {
@@ -136,7 +169,6 @@ func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 		}
 	}
 	fpd := dist.ShiftedPoisson{N0: m.FaultsPerDefect}
-	chosen := make(map[int]bool)
 	for d := 0; d < ndefects; d++ {
 		k := fpd.Sample(rng)
 		center := rng.Intn(total)
@@ -149,24 +181,71 @@ func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 				idx = rng.Intn(total)
 			}
 			// Distinctness: probe linearly from the collision.
-			for chosen[idx] {
+			for c.mark[idx] == c.epoch {
 				idx = (idx + 1) % total
-				if len(chosen) >= total {
+				if len(c.list) >= total {
 					break
 				}
 			}
-			if len(chosen) < total {
-				chosen[idx] = true
+			if len(c.list) < total {
+				c.mark[idx] = c.epoch
+				c.list = append(c.list, idx)
 			}
 		}
 	}
-	out := make([]int, 0, len(chosen))
-	for idx := range chosen {
-		out = append(out, idx)
+	slices.Sort(c.list)
+	return c.list
+}
+
+// faultMoments returns the mean and variance of the number of faults
+// the model casts on one chip before collisions merge any: a compound
+// sum of N defects with K faults each, so E = E[N]·E[K] and
+// Var = E[N]·Var[K] + Var[N]·E[K]².
+func (m Model) faultMoments() (mean, variance float64) {
+	if m.D0A == 0 {
+		return 0, 0
 	}
-	// Map iteration order is randomized per process; sort so the same
-	// seed yields the same chip byte-for-byte across runs.
-	sort.Ints(out)
+	k := dist.ShiftedPoisson{N0: m.FaultsPerDefect}
+	varN := dist.Poisson{Lambda: m.D0A}.Variance()
+	if m.Count == ClusteredDefects {
+		varN = dist.NegativeBinomial{R: m.Cluster, Mu: m.D0A}.Variance()
+	}
+	return m.D0A * k.Mean(), m.D0A*k.Variance() + varN*k.Mean()*k.Mean()
+}
+
+// lotSlab hands out the chips' fault lists from a few large chunks
+// instead of one allocation per chip. Each list is carved with a
+// three-index slice, so its capacity ends where the next chip's list
+// begins: an append by a reader reallocates instead of overwriting a
+// neighbour. A chunk is sized for the chips still to come at the
+// per-chip mean plus four standard deviations of their total, so a lot
+// almost always fits in one.
+type lotSlab struct {
+	buf      []int
+	mean, sd float64 // per-chip fault count
+}
+
+// newLotSlab sizes chunks from the per-chip fault-count moments. A chip
+// never carries more than the total faults in the universe, which
+// bounds both moments.
+func newLotSlab(mean, variance float64, total int) lotSlab {
+	t := float64(total)
+	return lotSlab{mean: math.Min(mean, t), sd: math.Min(math.Sqrt(variance), t)}
+}
+
+// carve returns a list of k ints for one chip (nil for k == 0);
+// chipsLeft counts this chip and those after it.
+func (s *lotSlab) carve(k, chipsLeft int) []int {
+	if k == 0 {
+		return nil
+	}
+	if len(s.buf) < k {
+		n := float64(chipsLeft)
+		size := int(math.Ceil(n*s.mean + 4*math.Sqrt(n)*s.sd))
+		s.buf = make([]int, max(size, k))
+	}
+	out := s.buf[:k:k]
+	s.buf = s.buf[k:]
 	return out
 }
 
@@ -200,12 +279,16 @@ func GenerateLot(m Model, universe []fault.Fault, n int, rng *rand.Rand) (Lot, e
 		return Lot{}, fmt.Errorf("defect: empty fault universe")
 	}
 	lot := Lot{Chips: make([]Chip, n), Universe: universe}
+	caster := newFaultCaster(len(universe))
+	mean, variance := m.faultMoments()
+	slab := newLotSlab(mean, variance, len(universe))
 	good := 0
 	for i := range lot.Chips {
-		nd := m.DefectCount(rng)
-		idxs := m.CastFaults(rng, len(universe), nd)
-		lot.Chips[i] = Chip{Faults: idxs}
-		if len(idxs) == 0 {
+		idxs := m.cast(&caster, rng, m.DefectCount(rng))
+		faults := slab.carve(len(idxs), n-i)
+		copy(faults, idxs)
+		lot.Chips[i] = Chip{Faults: faults}
+		if len(faults) == 0 {
 			good++
 		}
 	}
@@ -228,14 +311,22 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 	if len(universe) == 0 {
 		return Lot{}, fmt.Errorf("defect: empty fault universe")
 	}
+	if len(universe) > math.MaxInt32 {
+		return Lot{}, fmt.Errorf("defect: fault universe of %d exceeds int32 indexing", len(universe))
+	}
+	total := len(universe)
 	lot := Lot{Chips: make([]Chip, n), Universe: universe}
+	perm := identityPerm(total)
+	slab := newLotSlab(fc.Mean(), fc.Variance(), total)
 	good := 0
 	for i := range lot.Chips {
 		k := fc.Sample(rng)
-		if k > len(universe) {
-			k = len(universe)
+		if k > total {
+			k = total
 		}
-		lot.Chips[i] = Chip{Faults: sampleDistinct(rng, len(universe), k)}
+		faults := slab.carve(k, n-i)
+		sampleDistinct(rng, perm, faults)
+		lot.Chips[i] = Chip{Faults: faults}
 		if k == 0 {
 			good++
 		}
@@ -244,29 +335,37 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 	return lot, nil
 }
 
-// sampleDistinct draws k distinct integers from [0, total) by partial
-// Fisher-Yates on a virtual index map.
-func sampleDistinct(rng *rand.Rand, total, k int) []int {
-	if k <= 0 {
-		return nil
+// identityPerm returns the dense per-lot scratch of sampleDistinct: a
+// virtual permutation of [0, total) with perm[x] == x.
+func identityPerm(total int) []int32 {
+	perm := make([]int32, total)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	swapped := make(map[int]int)
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
+	return perm
+}
+
+// sampleDistinct fills out with len(out) distinct draws from
+// [0, len(perm)) by partial Fisher–Yates (Knuth, TAOCP vol. 2, §3.4.2)
+// over perm: one rng.Intn(total-i) per draw i, swapping slot i with
+// slot i+draw. It leaves perm the identity again, restoring only the
+// slots it touched, so a chip costs O(k) however large the universe.
+func sampleDistinct(rng *rand.Rand, perm []int32, out []int) {
+	total := len(perm)
+	for i := range out {
 		j := i + rng.Intn(total-i)
-		vi, ok := swapped[i]
-		if !ok {
-			vi = i
-		}
-		vj, ok := swapped[j]
-		if !ok {
-			vj = j
-		}
-		out[i] = vj
-		swapped[j] = vi
-		swapped[i] = vj
+		vi, vj := perm[i], perm[j]
+		out[i] = int(vj)
+		perm[j] = vi
+		perm[i] = vj
 	}
-	return out
+	// Besides the slots below k, only slots j >= k moved, and the first
+	// swap at such a slot drew its own value j, so every one of them is
+	// among out.
+	for i, v := range out {
+		perm[i] = int32(i)
+		perm[v] = int32(v)
+	}
 }
 
 // MeanFaultsOnDefective returns the lot's empirical n0: the average

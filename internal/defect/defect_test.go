@@ -1,13 +1,17 @@
 package defect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/numeric"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -202,24 +206,212 @@ func TestGenerateLotFromModelErrors(t *testing.T) {
 	}
 }
 
-func TestSampleDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		k := 1 + rng.Intn(20)
-		out := sampleDistinct(rng, 20, k)
-		if len(out) != k {
-			t.Fatalf("got %d, want %d", len(out), k)
+// sampleDistinctRef is the map-based partial Fisher–Yates the dense
+// sampleDistinct replaced, kept as its oracle: it draws k distinct
+// integers from [0, total) with the virtual index map held in a hash
+// map.
+func sampleDistinctRef(rng *rand.Rand, total, k int) []int {
+	if k <= 0 {
+		return nil
+	}
+	swapped := make(map[int]int)
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(total-i)
+		vi, ok := swapped[i]
+		if !ok {
+			vi = i
 		}
-		seen := make(map[int]bool)
-		for _, v := range out {
-			if v < 0 || v >= 20 || seen[v] {
-				t.Fatalf("bad sample %v", out)
-			}
-			seen[v] = true
+		vj, ok := swapped[j]
+		if !ok {
+			vj = j
+		}
+		out[i] = vj
+		swapped[j] = vi
+		swapped[i] = vj
+	}
+	return out
+}
+
+// castFaultsRef is the map-based CastFaults the epoch-marked caster
+// replaced, kept as its oracle.
+func castFaultsRef(m Model, rng *rand.Rand, total, ndefects int) []int {
+	if total <= 0 || ndefects <= 0 {
+		return nil
+	}
+	window := m.Window
+	if window <= 0 {
+		window = total / 20
+		if window < 4 {
+			window = 4
 		}
 	}
-	if sampleDistinct(rng, 10, 0) != nil {
-		t.Error("k=0 should be nil")
+	fpd := dist.ShiftedPoisson{N0: m.FaultsPerDefect}
+	chosen := make(map[int]bool)
+	for d := 0; d < ndefects; d++ {
+		k := fpd.Sample(rng)
+		center := rng.Intn(total)
+		for j := 0; j < k; j++ {
+			var idx int
+			if rng.Float64() < m.Locality {
+				idx = center + rng.Intn(2*window+1) - window
+				idx = numeric.ClampInt(idx, 0, total-1)
+			} else {
+				idx = rng.Intn(total)
+			}
+			for chosen[idx] {
+				idx = (idx + 1) % total
+				if len(chosen) >= total {
+					break
+				}
+			}
+			if len(chosen) < total {
+				chosen[idx] = true
+			}
+		}
+	}
+	out := make([]int, 0, len(chosen))
+	for idx := range chosen {
+		out = append(out, idx)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func assertIdentity(t *testing.T, perm []int32, what string) {
+	t.Helper()
+	for x, v := range perm {
+		if int(v) != x {
+			t.Fatalf("%s: scratch slot %d holds %d, not the identity", what, x, v)
+		}
+	}
+}
+
+// TestSampleDistinct pins the dense sampler to the map oracle: the same
+// distinct in-range draws in the same order, the RNG left in the same
+// state, and the scratch back to the identity after every chip.
+func TestSampleDistinct(t *testing.T) {
+	for _, total := range []int{1, 2, 7, 64, 1000} {
+		perm := identityPerm(total)
+		rngRef := rand.New(rand.NewSource(int64(total)))
+		rngNew := rand.New(rand.NewSource(int64(total)))
+		// Several chips through one scratch, so a chip that leaves it
+		// dirty corrupts the next one.
+		for _, k := range []int{0, 1, total / 2, total, total / 2, 1, total} {
+			want := sampleDistinctRef(rngRef, total, k)
+			got := make([]int, k)
+			sampleDistinct(rngNew, perm, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("total %d k %d: dense %v, map %v", total, k, got, want)
+			}
+			seen := make(map[int]bool)
+			for _, v := range got {
+				if v < 0 || v >= total || seen[v] {
+					t.Fatalf("total %d k %d: bad sample %v", total, k, got)
+				}
+				seen[v] = true
+			}
+			if a, b := rngRef.Int63(), rngNew.Int63(); a != b {
+				t.Fatalf("total %d k %d: RNG state diverged (%d vs %d)", total, k, a, b)
+			}
+			assertIdentity(t, perm, fmt.Sprintf("total %d k %d", total, k))
+		}
+	}
+}
+
+// TestGenerateLotFromModelMatchesReference checks the whole model lot,
+// chip by chip, against the map sampler run in the same draw order.
+func TestGenerateLotFromModelMatchesReference(t *testing.T) {
+	universe := make([]fault.Fault, 40)
+	for _, n0 := range []float64{1, 8.8, 60} { // 60 saturates the 40-fault universe
+		lot, err := GenerateLotFromModel(0.2, n0, universe, 300, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := dist.NewChipFaultCount(0.2, n0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i, chip := range lot.Chips {
+			k := min(fc.Sample(rng), len(universe))
+			if want := sampleDistinctRef(rng, len(universe), k); !slices.Equal(chip.Faults, want) {
+				t.Fatalf("n0 %v chip %d: got %v, want %v", n0, i, chip.Faults, want)
+			}
+		}
+	}
+}
+
+// TestGenerateLotMatchesReference checks the physical lot, chip by
+// chip, against the map caster: Poisson and clustered counts, with and
+// without locality, and a universe small enough to saturate.
+func TestGenerateLotMatchesReference(t *testing.T) {
+	models := []Model{
+		{D0A: 2.659, FaultsPerDefect: 3.3, Locality: 0.7},
+		{D0A: 2, Count: ClusteredDefects, Cluster: 0.5, FaultsPerDefect: 2},
+		{D0A: 1.5, FaultsPerDefect: 12, Locality: 1, Window: 3},
+		{D0A: 4, FaultsPerDefect: 9},
+	}
+	for _, total := range []int{5, 40, 500} {
+		universe := make([]fault.Fault, total)
+		for mi, m := range models {
+			lot, err := GenerateLot(m, universe, 400, rand.New(rand.NewSource(int64(mi))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(mi)))
+			for i, chip := range lot.Chips {
+				want := castFaultsRef(m, rng, total, m.DefectCount(rng))
+				if !slices.Equal(chip.Faults, want) || (chip.Faults == nil) != (want == nil) {
+					t.Fatalf("total %d model %d chip %d: got %v, want %v", total, mi, i, chip.Faults, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLotFaultListsAreIsolated: the chips' lists share one slab, so an
+// append to one chip's list must reallocate, never overwrite the next
+// chip's faults.
+func TestLotFaultListsAreIsolated(t *testing.T) {
+	universe := make([]fault.Fault, 100)
+	lot, err := GenerateLotFromModel(0.1, 5, universe, 50, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]int, len(lot.Chips))
+	for i, c := range lot.Chips {
+		before[i] = slices.Clone(c.Faults)
+	}
+	for i := range lot.Chips {
+		_ = append(lot.Chips[i].Faults, -1)
+	}
+	for i, c := range lot.Chips {
+		if !slices.Equal(c.Faults, before[i]) {
+			t.Fatalf("chip %d changed after appending to its neighbour: %v, was %v", i, c.Faults, before[i])
+		}
+	}
+}
+
+// TestGenerateLotFromModelAllocs: a lot costs a constant number of
+// allocations — the chip array, the sampler's scratch, and one slab
+// chunk — however many chips it holds.
+func TestGenerateLotFromModelAllocs(t *testing.T) {
+	universe := make([]fault.Fault, 1000)
+	rng := rand.New(rand.NewSource(1))
+	allocs := func(chips int, seed int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			rng.Seed(seed)
+			if _, err := GenerateLotFromModel(0.2, 8.8, universe, chips, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		small, large := allocs(500, seed), allocs(2000, seed)
+		if large != small || large > 3 {
+			t.Errorf("seed %d: %v allocations for 500 chips, %v for 2000; want the same constant <= 3", seed, small, large)
+		}
 	}
 }
 
@@ -252,6 +444,18 @@ func TestClusteredLotOverdispersion(t *testing.T) {
 	}
 }
 
+func BenchmarkGenerateLotFromModel(b *testing.B) {
+	universe := make([]fault.Fault, 1000)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateLotFromModel(0.2, 8.8, universe, 2000, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGenerateLot(b *testing.B) {
 	c, err := netlist.ArrayMultiplier(4)
 	if err != nil {
@@ -269,10 +473,9 @@ func BenchmarkGenerateLot(b *testing.B) {
 }
 
 // TestCastFaultsDeterministic: the same seed must produce the same
-// fault list byte-for-byte, including order — CastFaults collects from
-// a map, whose iteration order Go randomizes per process, so the
-// result must be sorted before returning. Without that, every
-// physical-lot experiment differs between runs of the same seed.
+// fault list byte-for-byte, including order: the list comes back
+// sorted, not in draw order. Without that, every physical-lot
+// experiment would depend on how the caster collects its choices.
 func TestCastFaultsDeterministic(t *testing.T) {
 	m := Model{D0A: 2, FaultsPerDefect: 3, Locality: 0.6, Window: 8}
 	rng1 := rand.New(rand.NewSource(42))

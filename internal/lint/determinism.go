@@ -9,7 +9,8 @@ import (
 // feeds the byte-identity contracts (sweep CSV/JSON, campaign
 // checkpoints and shard files, the dist/estimate numbers inside them,
 // the sweepd wire output, and the Prepared-store artifact bytes that
-// fault collapsing, ATPG, fault simulation and the flat core produce).
+// fault collapsing, ATPG, fault simulation and the flat core produce,
+// and the manufactured lots and tester records the CSVs fold).
 // Matched by import-path suffix so the fixture packages exercise the
 // same scoping.
 var determinismScopes = []string{
@@ -22,6 +23,9 @@ var determinismScopes = []string{
 	"internal/atpg",
 	"internal/faultsim",
 	"internal/logicsim",
+	"internal/defect",
+	"internal/tester",
+	"internal/experiment",
 	"cmd/sweepd",
 }
 
@@ -41,8 +45,8 @@ var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, the global math/rand source, and un-annotated " +
 		"map iteration in the result-producing packages (sweep, campaign, circuits, " +
-		"dist, estimate, fault, atpg, faultsim, logicsim, sweepd): results must be " +
-		"byte-identical for any -workers, " +
+		"dist, estimate, fault, atpg, faultsim, logicsim, defect, tester, experiment, " +
+		"sweepd): results must be byte-identical for any -workers, " +
 		"across crash/resume, and across cold/warm Prepared stores",
 	Run: runDeterminism,
 }

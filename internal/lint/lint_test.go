@@ -87,6 +87,7 @@ func checkFixture(t *testing.T, analyzer, rel string) {
 func TestDeterminismFixtures(t *testing.T) {
 	checkFixture(t, "determinism", "determinism/bad/internal/sweep")
 	checkFixture(t, "determinism", "determinism/bad/internal/faultsim")
+	checkFixture(t, "determinism", "determinism/bad/internal/defect")
 	checkFixture(t, "determinism", "determinism/good/internal/sweep")
 	checkFixture(t, "determinism", "determinism/unscoped")
 }

@@ -252,7 +252,8 @@ func sortOutPair(idx, pos []int32) {
 
 // FlatConeSetFor returns the circuit's flat cone set, creating it (and
 // the Flat underneath, if needed) on first use and caching both on the
-// circuit. The set starts empty; callers Ensure the cones they walk.
+// circuit until a mutation or ReleaseFlatCones drops the set. The set
+// starts empty; callers Ensure the cones they walk.
 // Like every lazy circuit cache it is safe for concurrent callers but
 // must not race with mutation.
 func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
@@ -271,6 +272,20 @@ func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
 	}
 	sc.flatCones = NewFlatConeSet(sc.flat)
 	return sc.flatCones, nil
+}
+
+// ReleaseFlatCones drops the circuit's cached cone set, keeping the
+// Flat. Sessions already holding the set keep their pointer; a later
+// FlatConeSetFor starts an empty set and compiles cones again (a cone
+// is a pure function of its site, so the rebuilt ones are identical).
+// It lets a one-shot consumer such as circuits.Prepare keep the cones
+// alive only while it runs.
+func ReleaseFlatCones(c *netlist.Circuit) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if sc, ok := c.SimCache().(*simCaches); ok {
+		sc.flatCones = nil
+	}
 }
 
 // Flat returns the compiled form the cones are expressed in.

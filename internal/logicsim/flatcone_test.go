@@ -309,5 +309,36 @@ func TestFlatConeSetForCachesAndInvalidates(t *testing.T) {
 	}
 }
 
+// TestReleaseFlatCones: the release drops only the cone set. A holder
+// keeps its cones, the Flat stays cached, the next FlatConeSetFor
+// starts empty over that same Flat and compiles identical cones, and
+// releasing a circuit with no caches is a no-op.
+func TestReleaseFlatCones(t *testing.T) {
+	ReleaseFlatCones(netlist.C17())
+	c := netlist.C17()
+	cs1, err := FlatConeSetFor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cs1.ConeOf(0)
+	ReleaseFlatCones(c)
+	if got := cs1.ConeOf(0); len(got.Slots) != len(want.Slots) || cs1.Size() == 0 {
+		t.Error("release emptied a set a caller still holds")
+	}
+	cs2, err := FlatConeSetFor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs2 == cs1 || cs2.Size() != 0 {
+		t.Fatalf("after release: same set %v, %d memberships; want a fresh empty set", cs2 == cs1, cs2.Size())
+	}
+	if cs2.Flat() != cs1.Flat() {
+		t.Error("release dropped the cached Flat")
+	}
+	if got := cs2.ConeOf(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("rebuilt cone %v differs from the released one %v", got, want)
+	}
+}
+
 // conePtr lets test call sites pass an rvalue cone by address.
 func conePtr(c FlatCone) *FlatCone { return &c }

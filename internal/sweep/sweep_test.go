@@ -54,6 +54,41 @@ cmp8,0.4,3,80,4,0.6,0.604167,0.150635,0.162144,0.0736697,0.0899487,0.234339,4,5.
 	}
 }
 
+func TestSweepGoldenPhysical(t *testing.T) {
+	// Byte-for-byte pin of the physical-defect path: Poisson defects
+	// cast into logical faults with locality, collision probing, and the
+	// sorted per-chip fault list. The n0 = 12 cells crowd mul4's small
+	// universe, so the linear probe runs often.
+	cfg := smallConfig(t)
+	cfg.Physical = true
+	cfg.N0s = []float64{3, 12}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `circuit,yield,n0,chips,replicates,target_coverage,coverage,analytic_r,mean_r,std_r,ci_lo,ci_hi,rej_samples,mean_escapes,mean_passed,mean_tested_yield,fit_n0_mean,true_n0_mean
+mul4,0.2,3,80,4,0.3,0.310714,0.596948,0.654979,0.0566471,0.599466,0.710493,4,26.5,40.75,0.178125,2.82586,3.01179
+mul4,0.2,3,80,4,0.6,0.610714,0.314627,0.492083,0.0818238,0.411897,0.572269,4,13.5,27.75,0.178125,2.82586,3.01179
+mul4,0.2,12,80,4,0.3,0.310714,0.0828939,0.275481,0.122669,0.155267,0.395695,4,6,22.75,0.209375,7.21511,12.0623
+mul4,0.2,12,80,4,0.6,0.610714,0.00187924,0.0950387,0.0641416,0.0321811,0.157896,4,1.5,18.25,0.209375,7.21511,12.0623
+mul4,0.4,3,80,4,0.3,0.310714,0.357079,0.392095,0.129227,0.265455,0.518735,4,21,54.25,0.415625,2.30595,3.13808
+mul4,0.4,3,80,4,0.6,0.610714,0.146865,0.193455,0.0739714,0.120965,0.265946,4,7.5,40.75,0.415625,2.30595,3.13808
+mul4,0.4,12,80,4,0.3,0.310714,0.0327837,0.116712,0.06357,0.0544148,0.17901,4,4,35.25,0.390625,9.76495,11.9358
+mul4,0.4,12,80,4,0.6,0.610714,0.000705545,0.0104167,0.0208333,0,0.030833,4,0.25,31.5,0.390625,9.76495,11.9358
+cmp8,0.2,3,80,4,0.3,0.354167,0.559898,0.640609,0.063511,0.578369,0.702848,4,30.75,47.75,0.2125,2.04682,3.0938
+cmp8,0.2,3,80,4,0.6,0.604167,0.321083,0.404249,0.0527536,0.352551,0.455946,4,11.5,28.5,0.2125,2.04682,3.0938
+cmp8,0.2,12,80,4,0.3,0.354167,0.0498902,0.664182,0.0523726,0.612858,0.715506,4,32.5,49,0.20625,3.33022,11.8688
+cmp8,0.2,12,80,4,0.6,0.604167,0.0020532,0.0552213,0.0381758,0.0178097,0.0926329,4,1,17.5,0.20625,3.33022,11.8688
+cmp8,0.4,3,80,4,0.3,0.354167,0.322986,0.401797,0.0668685,0.336267,0.467327,4,22.75,56.25,0.41875,1.98517,2.95634
+cmp8,0.4,3,80,4,0.6,0.604167,0.150635,0.182969,0.0224634,0.160955,0.204982,4,7.5,41,0.41875,1.98517,2.95634
+cmp8,0.4,12,80,4,0.3,0.354167,0.019311,0.425827,0.0671857,0.359986,0.491668,4,26.25,61.5,0.440625,2.62074,11.9053
+cmp8,0.4,12,80,4,0.6,0.604167,0.000770939,0.0295139,0.0255941,0.00443208,0.0545957,4,1,36.25,0.440625,2.62074,11.9053
+`
+	if got := res.CSV(); got != want {
+		t.Errorf("golden physical CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	// The aggregates must be bit-identical no matter how the replicates
 	// are scheduled — including across the circuit axis: per-replicate
