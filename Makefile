@@ -43,8 +43,8 @@ bench:
 # artifact, so the BENCH trajectory is no longer ephemeral terminal
 # scrollback. Each change that records a matrix commits its own file;
 # BENCH_BASE names the newest committed one to compare against.
-BENCH ?= BENCH_PR14.json
-BENCH_BASE ?= BENCH_PR13.json
+BENCH ?= BENCH_PR15.json
+BENCH_BASE ?= BENCH_PR14.json
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkLotEngines' -benchtime 40x . \
 		| $(GO) run ./cmd/benchjson -out $(BENCH)

@@ -171,25 +171,42 @@ func BenchmarkEngines(b *testing.B) {
 // fail-tests the same paper-shaped lot (2000 chips, y=0.07, n0=8.8)
 // against a production pattern set, at strobe granularity. The chips/s
 // metric is the campaign-throughput number the chip-parallel engine is
-// judged on (the acceptance bar is ≥2x serial on mul8).
+// judged on (the acceptance bar is ≥2x serial on mul8). mul8 and cmp16
+// are small enough that a batch's faults disturb most of the circuit;
+// lsi1k (the lsi-smoke preparation: a 150-class sampled universe over
+// the 1k-gate fixture) is the LSI regime, where a chip's faults disturb
+// a few percent of it and the toy circuits hide what a lot costs.
 func BenchmarkLotEngines(b *testing.B) {
+	production := func(build func() (*netlist.Circuit, error)) func() (*netlist.Circuit, []fault.Fault, []logicsim.Pattern, error) {
+		return func() (*netlist.Circuit, []fault.Fault, []logicsim.Pattern, error) {
+			c, err := build()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			patterns, err := atpg.ProductionTests(c, 96, 96, 1981)
+			return c, fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c))), patterns, err
+		}
+	}
 	workloads := []struct {
-		name  string
-		build func() (*netlist.Circuit, error)
+		name    string
+		prepare func() (*netlist.Circuit, []fault.Fault, []logicsim.Pattern, error)
 	}{
-		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
-		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
+		{"mul8", production(func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) })},
+		{"cmp16", production(func() (*netlist.Circuit, error) { return netlist.Comparator(16) })},
+		{"lsi1k", func() (*netlist.Circuit, []fault.Fault, []logicsim.Pattern, error) {
+			pr, err := circuits.NewCache().Get("lsi1k",
+				circuits.Params{RandomPatterns: 48, SampleFaults: 150, BacktrackLimit: 50, Seed: 1981})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return pr.Circuit, pr.Universe, pr.Patterns, nil
+		}},
 	}
 	const chips = 2000
 	for _, e := range tester.LotEngines() {
 		for _, wl := range workloads {
 			b.Run(e.String()+"/"+wl.name, func(b *testing.B) {
-				c, err := wl.build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
-				patterns, err := atpg.ProductionTests(c, 96, 96, 1981)
+				c, universe, patterns, err := wl.prepare()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -241,14 +241,18 @@ func (f *Flat) Fanout() (at, fanout []int32) {
 	for s := 0; s < n; s++ {
 		at[s+1] += at[s]
 	}
+	// Fill by advancing each slot's start offset past the entries it
+	// receives; afterwards at[s] holds the old at[s+1], so one shift
+	// back restores the offsets without a separate fill counter.
 	fanout = make([]int32, len(f.fanin))
-	fill := make([]int32, n)
 	for slot := 0; slot < n; slot++ {
 		for _, fs := range f.fanin[f.faninAt[slot]:f.faninAt[slot+1]] {
-			fanout[at[fs]+fill[fs]] = int32(slot)
-			fill[fs]++
+			fanout[at[fs]] = int32(slot)
+			at[fs]++
 		}
 	}
+	copy(at[1:], at[:n])
+	at[0] = 0
 	return at, fanout
 }
 

@@ -154,6 +154,10 @@ type WideLaneForces struct {
 	// pins holds the per-input-pin masks of each site, truncated to zero
 	// length when the site is first touched in a new epoch.
 	pins [][]widePin
+	// live lists the slot of every site first touched this epoch, in
+	// touch order: the seeds of an event-driven walk (RunLaneEvents).
+	// Reset truncates it.
+	live []int32
 }
 
 // widePin is one forced input pin of a slot. The masks are fixed-size
@@ -185,7 +189,10 @@ func (lf *WideLaneForces) Lanes() int { return 64 * lf.words }
 func (lf *WideLaneForces) Words() int { return lf.words }
 
 // Reset empties the table for reuse in O(1).
-func (lf *WideLaneForces) Reset() { lf.epoch++ }
+func (lf *WideLaneForces) Reset() {
+	lf.epoch++
+	lf.live = lf.live[:0]
+}
 
 // SetWords empties the table and changes its lane-block width, within
 // the width it was built for: how a lot engine re-strides one table as
@@ -236,6 +243,7 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 			lf.stem[base+k] = 0
 		}
 		lf.pins[si] = lf.pins[si][:0]
+		lf.live = append(lf.live, f.Slot)
 	}
 	word, bit := lane>>6, uint(lane&63)
 	if f.Pin < 0 {
@@ -269,9 +277,9 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 }
 
 // Reserve gives every site of the fault list its table entry, with room
-// for each of its distinct forced pins, and empties the table: builds
-// from the list's faults never allocate afterwards. A lot engine calls
-// it once per fault universe.
+// for each of its distinct forced pins and a live-list slot, and
+// empties the table: builds from the list's faults never allocate
+// afterwards. A lot engine calls it once per fault universe.
 func (lf *WideLaneForces) Reserve(faults []SlotInjection) {
 	lf.Reset()
 	for _, f := range faults {
@@ -313,8 +321,9 @@ func (lf *WideLaneForces) forcedSite(slot int) int {
 type WideSim struct {
 	f     *Flat
 	words int
-	val   []uint64 // stride-packed value plane, slot s at [s*words, s*words+words)
-	stage []uint64 // fanin staging scratch for pin-forced gates
+	val   []uint64    // stride-packed value plane, slot s at [s*words, s*words+words)
+	stage []uint64    // fanin staging scratch for pin-forced gates
+	ev    *wideEvents // RunLaneEvents scratch, built on its first call
 }
 
 // NewWideSim allocates wide walk state of 64*words lanes for the flat

@@ -13,14 +13,25 @@ import (
 // the serial oracle packs 64 patterns into a word and walks the circuit
 // once per (chip, block), chip-parallel puts the good machine (lane 0)
 // plus up to 255 defective chips into the bit-lanes of a 4-word lane
-// block and walks the circuit once per pattern for the whole batch
-// (logicsim.WideSim.RunLaneForced). Each chip's faults are forced onto
-// its lane through a shared logicsim.WideLaneForces table —
-// v = (v &^ care) | force per fault site.
+// block and simulates the whole batch once per pattern. Each chip's
+// faults are forced onto its lane through a shared
+// logicsim.WideLaneForces table — v = (v &^ care) | force per fault
+// site.
+//
+// Each pattern propagates differences from the good machine
+// (logicsim.WideSim.RunLaneEvents) instead of walking the circuit: a
+// 64-lane FlatSim holds the good machine of the block being applied,
+// and only the batch's forced sites and the fanout of gates that differ
+// from it on a live lane are evaluated. On an LSI circuit whose chips
+// carry a few faults each, that is a few percent of the gates. On a
+// small circuit a batch's faults can disturb most of it, where the full
+// walk (RunLaneForced) is cheaper: once one pattern evaluates more than
+// half the slots, the batch takes the full walk for the rest of its
+// chunk, and its survivors start event-driven again in the next one.
 //
 // First-fail extraction is exact at either granularity: at pattern p
 // the lane block of each primary output is diffed against the
-// broadcast of lane 0 (the good machine computed in the same walk),
+// broadcast of lane 0 (the good machine, which no fault touches),
 // outputs in strobe order, so the first differing (pattern, output)
 // pair per lane is the same strobe the serial oracle reports. A lane is
 // dropped the moment its chip fails, and a batch exits as soon as every
@@ -28,11 +39,14 @@ import (
 //
 // Scheduling is what makes the lanes earn their keep:
 //
-//   - Patterns are processed in growing chunks (8, 16, 32, then 64),
-//     and after each chunk the survivors of *all* batches are re-packed
-//     into fresh full batches for the next chunk. Most defective chips
-//     fail within the first few patterns, so without re-packing a batch
-//     would idle most of its lanes while its slowest chip (or an
+//   - Patterns are processed in chunks of 8, 8, 16, 32, then 64: each
+//     chunk doubles the patterns applied so far until it is a whole
+//     block, so every chunk lies inside one 64-pattern block and one
+//     good-machine simulation of that block serves every batch of the
+//     chunk. After each chunk the survivors of *all* batches are
+//     re-packed into fresh full batches for the next. Most defective
+//     chips fail within the first few patterns, so without re-packing a
+//     batch would idle most of its lanes while its slowest chip (or an
 //     escape) walks the rest of the program.
 //   - Within a round, surviving chips are ordered by their lowest
 //     fault-universe index: chips with overlapping fault sites fail at
@@ -48,7 +62,7 @@ import (
 //     retire 255 chips per walk.
 //   - The forcing table is rebuilt over the survivors once three
 //     quarters of the lanes it was built for have died: dead lanes'
-//     forces only slow the walk down.
+//     forces seed evaluations and slow the walk down.
 //
 // The ordering affects only scheduling, never results.
 
@@ -59,10 +73,10 @@ const (
 	// ppLanes is the number of chip lanes per batch (lane 0 is the good
 	// machine).
 	ppLanes = 64*ppWords - 1
-	// ppChunkStart/ppChunkMax bound the growing pattern-chunk schedule:
-	// small early chunks keep dead-lane waste low while the lot is
-	// failing fast, and the cap keeps late rounds from re-packing
-	// needlessly once only stragglers remain.
+	// ppChunkStart/ppChunkMax bound the pattern-chunk schedule: small
+	// early chunks keep dead-lane waste low while the lot is failing
+	// fast, and the cap of one block keeps every chunk inside the block
+	// the good machine is simulated for.
 	ppChunkStart = 8
 	ppChunkMax   = 64
 )
@@ -80,19 +94,26 @@ var ErrBatchLanes = errors.New("tester: batch lanes exceed lane-block width")
 type chipParallelState struct {
 	sim    *logicsim.WideSim
 	forces *logicsim.WideLaneForces
+	// good holds the good machine of the 64-pattern block the current
+	// chunk applies: the reference every event walk diffs against.
+	good *logicsim.FlatSim
 
-	out        []uint64
-	work, next []ppItem
-	sort       ppSort
+	out, goodOut []uint64
+	work, next   []ppItem
+	sort         ppSort
+	// dense counts the patterns walked by the full kernel after an
+	// event walk found the batch disturbing most of the circuit.
+	dense int
 }
 
 // ppItem is one defective chip awaiting testing: its lot index and its
 // batching key (lowest fault-universe index).
 type ppItem struct {
-	chip, key int
+	chip, key int32
 }
 
-// ppSort is the reusable scratch of sortWork.
+// ppSort is the reusable scratch of sortWork; tmp holds at least as
+// many items as the work list (the engine sizes it to the lot).
 type ppSort struct {
 	count []int32
 	tmp   []ppItem
@@ -119,8 +140,9 @@ func (ps *ppSort) sortWork(work []ppItem, nKeys int) {
 	for k := range count {
 		sum, count[k] = sum+count[k], sum
 	}
-	ps.tmp = append(ps.tmp[:0], work...)
-	for _, it := range ps.tmp {
+	tmp := ps.tmp[:len(work)]
+	copy(tmp, work)
+	for _, it := range tmp {
 		work[count[it.key]] = it
 		count[it.key]++
 	}
@@ -137,7 +159,7 @@ func (a *ATE) chipParallel() (*chipParallelState, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.pp = &chipParallelState{sim: sim, forces: forces}
+		a.pp = &chipParallelState{sim: sim, forces: forces, good: logicsim.NewFlatSim(a.flat)}
 	}
 	return a.pp, nil
 }
@@ -160,6 +182,13 @@ func (a *ATE) chipParallelFirstFail(lot defect.Lot, steps bool) ([]int, error) {
 		st.forces.Reserve(universe)
 	}
 	ff := make([]int, len(lot.Chips))
+	// The defective chips never outnumber the lot, and the survivors of
+	// a round never outnumber the chips going in, so sizing every
+	// scheduler buffer to the lot once keeps the rounds allocation-free.
+	if n := len(lot.Chips); cap(st.work) < n {
+		st.work, st.next = make([]ppItem, 0, n), make([]ppItem, 0, n)
+		st.sort.tmp = make([]ppItem, n)
+	}
 	work := st.work[:0]
 	for i, chip := range lot.Chips {
 		ff[i] = NeverFails
@@ -173,21 +202,22 @@ func (a *ATE) chipParallelFirstFail(lot defect.Lot, steps bool) ([]int, error) {
 			}
 			key = min(key, fi)
 		}
-		work = append(work, ppItem{chip: i, key: key})
+		work = append(work, ppItem{chip: int32(i), key: int32(key)})
 	}
 	// Batch by fault-site overlap: equal-key chips keep lot order (the
 	// chip index breaks ties), so the schedule — and everything else —
 	// is deterministic.
 	st.sort.sortWork(work, len(universe))
-	// Survivors never outnumber the chips going in, so sizing the spare
-	// buffer to the work list up front keeps the rounds allocation-free.
 	spare := st.next[:0]
-	if cap(spare) < len(work) {
-		spare = make([]ppItem, 0, len(work))
-	}
-	base, chunk := 0, ppChunkStart
-	for len(work) > 0 && base < len(a.patterns) {
-		end := min(base+chunk, len(a.patterns))
+	for base := 0; len(work) > 0 && base < len(a.patterns); {
+		// Each chunk doubles the patterns applied so far (8, 8, 16, 32,
+		// then one 64-pattern block at a time), so no chunk straddles a
+		// block boundary and one good-machine simulation of the block
+		// serves every batch of the chunk.
+		end := min(base+min(max(base, ppChunkStart), ppChunkMax), len(a.patterns))
+		if st.goodOut, err = st.good.RunInto(a.blocks[base/64], st.goodOut); err != nil {
+			return nil, err
+		}
 		next := spare[:0]
 		for lo := 0; lo < len(work); lo += ppLanes {
 			hi := min(lo+ppLanes, len(work))
@@ -197,7 +227,6 @@ func (a *ATE) chipParallelFirstFail(lot defect.Lot, steps bool) ([]int, error) {
 		}
 		work, spare = next, work
 		base = end
-		chunk = min(2*chunk, ppChunkMax)
 	}
 	st.work, st.next = work, spare
 	return ff, nil
@@ -301,8 +330,21 @@ func (a *ATE) ppBatch(lot defect.Lot, universe []logicsim.SlotInjection, batch [
 	nOut := len(a.c.Outputs)
 	out := st.out
 	var err error
+	dense := false
 	for p := base; p < end; p++ {
-		out, err = st.sim.RunLaneForced(a.blocks[p/64], p%64, st.forces, out)
+		if dense {
+			out, err = st.sim.RunLaneForced(a.blocks[p/64], p%64, st.forces, out)
+			st.dense++
+		} else {
+			// The event walk pays per slot it evaluates, the full walk
+			// per slot of the circuit with less overhead: once one
+			// pattern disturbs more than half the circuit, the batch's
+			// faults are dense enough that the full walk wins for the
+			// rest of the chunk.
+			var evals int
+			out, evals, err = st.sim.RunLaneEvents(st.good, p%64, st.forces, alive, out)
+			dense = evals > a.flat.Slots()/2
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -113,7 +113,7 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 	var batch []ppItem
 	for i, chip := range lot.Chips {
 		if chip.Defective() {
-			batch = append(batch, ppItem{chip: i, key: chip.Faults[0]})
+			batch = append(batch, ppItem{chip: int32(i), key: int32(chip.Faults[0])})
 		}
 		if len(batch) == ppLanes {
 			break
@@ -124,10 +124,15 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 	}
 	scratch := make([]ppItem, len(batch))
 	next := make([]ppItem, 0, len(batch))
+	// A chunk never leaves its block: walk the first block against its
+	// good machine.
+	if _, err := a.pp.good.RunInto(a.blocks[0], nil); err != nil {
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		copy(scratch, batch) // the batch is compacted in place; re-seed it
 		var err error
-		next, err = a.ppBatch(lot, resolved, scratch, 0, len(patterns), false, ff, next[:0])
+		next, err = a.ppBatch(lot, resolved, scratch, 0, 64, false, ff, next[:0])
 		if err != nil {
 			t.Fatal(err)
 		}

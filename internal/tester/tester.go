@@ -10,8 +10,9 @@
 // for bit), both on the flat struct-of-arrays core: Serial tests one
 // chip at a time — the oracle — and ChipParallel, the default, packs
 // the good machine plus up to 255 defective chips into the lanes of a
-// 4-word lane block and evaluates them in a single circuit walk per
-// pattern (see chipparallel.go).
+// 4-word lane block and simulates them together once per pattern,
+// evaluating only the gates where some chip differs from the good
+// machine (see chipparallel.go).
 package tester
 
 import (
